@@ -6,7 +6,7 @@ enumerate (exhaust the general pair construction and cross-check the distinct
 count), search (brute-force oracle listing of all complementary pairs at a
 size).  Exit codes: 0 success or pass, 1 failed verification or count
 disagreement, 2 input error.  GOLAY2D_OVERSAMPLE overrides the default PAPR
-oversampling factor.
+oversampling factor of the papr subcommand; the others ignore it.
 """
 
 from __future__ import annotations
@@ -137,7 +137,8 @@ def cmd_papr(args) -> int:
         spec_dict = _load_json(args.spec)
         kind = "gcap-basic" if "pi1" in spec_dict else "gcap-general"
         spec = formats.parse_construction_spec(kind, spec_dict)
-    report = papr_report(arr, spec=spec, oversampling=args.oversample)
+    oversampling = args.oversample if args.oversample is not None else _default_oversampling()
+    report = papr_report(arr, spec=spec, oversampling=oversampling)
     if args.json:
         print(json.dumps(formats.papr_report_to_json_dict(report)))
         return 0
@@ -234,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("papr", help="report row/column PAPRs with bounds")
     p.add_argument("file")
     p.add_argument("--spec", default=None, help="construction spec JSON for bounds")
-    p.add_argument("--oversample", type=int, default=_default_oversampling())
+    p.add_argument("--oversample", type=int, default=None,
+                   help=f"PAPR oversampling factor (default ${OVERSAMPLE_ENV} or {DEFAULT_OVERSAMPLING})")
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_papr)
@@ -263,7 +265,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

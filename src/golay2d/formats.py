@@ -80,9 +80,16 @@ def array_to_csv(arr: QaryArray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def array_from_csv(text: str, q: int | None = None) -> QaryArray:
+def _csv_rows(text: str, q: int | None, what: str) -> tuple[int, list[list[str]]]:
+    """The alphabet and the comma-separated cells of an array or table CSV.
+
+    A '# q=' comment sets q; blank lines are skipped.  Every data line must
+    have as many cells as the first one; the first line that does not is
+    named by its 1-based line number.
+    """
     rows = []
-    for line in text.splitlines():
+    first = None
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -91,10 +98,23 @@ def array_from_csv(text: str, q: int | None = None) -> QaryArray:
             if match:
                 q = int(match.group(1))
             continue
-        rows.append([int(cell) for cell in line.split(",")])
+        cells = line.split(",")
+        if first is None:
+            first = (lineno, len(cells))
+        elif len(cells) != first[1]:
+            raise ValueError(
+                f"{what} CSV line {lineno} has {len(cells)} entries, "
+                f"but line {first[0]} has {first[1]}"
+            )
+        rows.append(cells)
     if q is None:
-        raise ValueError("array CSV has no '# q=' header and no q was supplied")
-    return QaryArray(q, rows)
+        raise ValueError(f"{what} CSV has no '# q=' header and no q was supplied")
+    return q, rows
+
+
+def array_from_csv(text: str, q: int | None = None) -> QaryArray:
+    q, rows = _csv_rows(text, q, "array")
+    return QaryArray(q, [[int(cell) for cell in row] for row in rows])
 
 
 def array_to_json_dict(arr: QaryArray) -> dict:
@@ -164,55 +184,30 @@ def parse_correlation_value(cell: str, q: int) -> CorrelationValue:
 
 
 def correlation_table_to_csv(table: CorrelationTable) -> str:
+    width = 2 * table.L2 - 1
+    cells = [format_correlation_value(value) for _, value in table.items()]
     lines = [f"# q={table.q} L1={table.L1} L2={table.L2}"]
-    for u1 in range(-(table.L1 - 1), table.L1):
-        cells = [
-            format_correlation_value(table.value(u1, u2))
-            for u2 in range(-(table.L2 - 1), table.L2)
-        ]
-        lines.append(",".join(cells))
+    lines += [",".join(cells[k:k + width]) for k in range(0, len(cells), width)]
     return "\n".join(lines) + "\n"
 
 
 def correlation_table_from_csv(text: str, q: int | None = None) -> CorrelationTable:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            match = re.search(r"q\s*=\s*(\d+)", line)
-            if match:
-                q = int(match.group(1))
-            continue
-        rows.append(line.split(","))
-    if q is None:
-        raise ValueError("table CSV has no '# q=' header and no q was supplied")
+    q, rows = _csv_rows(text, q, "table")
     if not rows or len(rows) % 2 == 0 or len(rows[0]) % 2 == 0:
         raise ValueError("table CSV must have odd row and column counts")
     L1 = (len(rows) + 1) // 2
     L2 = (len(rows[0]) + 1) // 2
-    grid = [[parse_correlation_value(cell, q) for cell in row] for row in rows]
-    return CorrelationTable(q, L1, L2, grid)
+    counts = [[parse_correlation_value(cell, q).counts for cell in row] for row in rows]
+    return CorrelationTable(q, L1, L2, counts)
 
 
 def correlation_table_to_json_dict(table: CorrelationTable) -> dict:
-    return {
-        "q": table.q,
-        "L1": table.L1,
-        "L2": table.L2,
-        "counts": [
-            [list(table.value(u1, u2).counts) for u2 in range(-(table.L2 - 1), table.L2)]
-            for u1 in range(-(table.L1 - 1), table.L1)
-        ],
-    }
+    return {"q": table.q, "L1": table.L1, "L2": table.L2, "counts": table.counts.tolist()}
 
 
 def correlation_table_from_json_dict(d: dict) -> CorrelationTable:
     try:
-        q = d["q"]
-        grid = [[CorrelationValue(q, cell) for cell in row] for row in d["counts"]]
-        return CorrelationTable(q, d["L1"], d["L2"], grid)
+        return CorrelationTable(d["q"], d["L1"], d["L2"], d["counts"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed table JSON: {exc}") from exc
 

@@ -18,6 +18,7 @@ from .correlation import (
     CorrelationValue,
     auto_correlation_table,
     cross_correlation_table,
+    reduction_matrix,
 )
 
 __all__ = [
@@ -67,20 +68,31 @@ def _require_uniform(arrays):
     return arrays
 
 
-def _check_table_sum(total, expected_center, max_violations, notes=()):
+def _require_cap(max_violations):
+    if max_violations < 0:
+        raise ValueError(f"max_violations must be >= 0, got {max_violations}")
+
+
+def _expected_reduced(q: int, L1: int, L2: int, expected_center: int) -> np.ndarray:
+    """The reduced tensor of a table that is expected_center at (0, 0) and 0 elsewhere."""
+    matrix = reduction_matrix(q)
+    expected = np.zeros((2 * L1 - 1, 2 * L2 - 1, matrix.shape[1]), dtype=np.int64)
+    expected[L1 - 1, L2 - 1] = expected_center * matrix[0]
+    return expected
+
+
+def _check_sum(tables, expected_center, max_violations, notes=()):
+    """The one check kernel: the reduced sum of the tables equals the expected centre."""
+    total = sum(tables[1:], tables[0])
+    q, L1, L2 = total.q, total.L1, total.L2
+    bad = (total.reduced() != _expected_reduced(q, L1, L2, expected_center)).any(axis=-1)
+    found = np.flatnonzero(bad)
     violations = []
-    truncated = False
-    for (u1, u2), value in total.items():
-        expected = (
-            CorrelationValue.from_int(expected_center, total.q)
-            if (u1, u2) == (0, 0)
-            else CorrelationValue.zero(total.q)
-        )
-        if value != expected:
-            if len(violations) < max_violations:
-                violations.append(((u1, u2), value.to_complex()))
-            else:
-                truncated = True
+    for flat in found[:max_violations].tolist():
+        i, j = divmod(flat, 2 * L2 - 1)
+        shift = (i - (L1 - 1), j - (L2 - 1))
+        violations.append((shift, total.value(*shift).to_complex()))
+    truncated = len(found) > max_violations
     center = total.value(0, 0)
     passed = not violations and not truncated and not notes
     return VerificationResult(
@@ -90,12 +102,10 @@ def _check_table_sum(total, expected_center, max_violations, notes=()):
 
 def is_gcas(arrays, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> VerificationResult:
     """Check the complementary-set condition for N same-sized arrays."""
+    _require_cap(max_violations)
     arrays = _require_uniform(arrays)
-    total = auto_correlation_table(arrays[0])
-    for a in arrays[1:]:
-        total = total + auto_correlation_table(a)
     expected = len(arrays) * arrays[0].L1 * arrays[0].L2
-    return _check_table_sum(total, expected, max_violations)
+    return _check_sum([auto_correlation_table(a) for a in arrays], expected, max_violations)
 
 
 def is_gcap(c: QaryArray, d: QaryArray, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> VerificationResult:
@@ -129,6 +139,7 @@ def is_mate(pair1, pair2, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Verif
     shifts including the origin, so expected_center is 0.  Inputs that fail
     the pair condition themselves are reported in notes and fail the check.
     """
+    _require_cap(max_violations)
     c, d = pair1
     c2, d2 = pair2
     _require_uniform([c, d, c2, d2])
@@ -137,56 +148,45 @@ def is_mate(pair1, pair2, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Verif
         notes.append("first pair fails the complementary-pair condition")
     if not is_gcap(c2, d2, max_violations).passed:
         notes.append("second pair fails the complementary-pair condition")
-    total = cross_correlation_table(c, c2) + cross_correlation_table(d, d2)
-    return _check_table_sum(total, 0, max_violations, notes)
-
-
-def _index_to_entries(idx: int, q: int, L1: int, L2: int) -> np.ndarray:
-    cells = L1 * L2
-    digits = np.empty(cells, dtype=np.int64)
-    for pos in range(cells - 1, -1, -1):
-        digits[pos] = idx % q
-        idx //= q
-    return digits.reshape(L1, L2)
+    tables = [cross_correlation_table(c, c2), cross_correlation_table(d, d2)]
+    return _check_sum(tables, 0, max_violations, notes)
 
 
 def brute_force_gcaps(q, L1, L2, budget: int = DEFAULT_PAIR_BUDGET):
     """Exhaustively list every ordered complementary pair of L1 x L2 arrays.
 
-    Arrays are enumerated in lexicographic row-major order and all q^(2*L1*L2)
-    ordered pairs are tested, so the budget (measured in pair evaluations)
-    must cover that count.  Per-array autocorrelation tables are precomputed
-    once; a pair passes when the reduced forms of the two tables cancel at
-    every nonzero shift, which is the same exact test is_gcap performs.
+    Arrays are enumerated in lexicographic row-major order and the output
+    lists the pairs (a, b) in that order of a, then of b, as if all
+    q^(2*L1*L2) ordered pairs were tested, so the budget (measured in pair
+    evaluations) must cover that count.  The pair test is the check kernel's:
+    the reduced tables of a and b sum to the expected centre, which holds
+    exactly when b's reduced table is the expected centre minus a's.  Each
+    array's reduced table is keyed as bytes, so every a finds its partners
+    by one lookup.
     """
     q = require_even_q(q)
+    for name, size in (("L1", L1), ("L2", L2)):
+        if size < 1:
+            raise ValueError(f"array size {name} must be at least 1, got {size}")
     n_arrays = q ** (L1 * L2)
     n_pairs = n_arrays * n_arrays
     if n_pairs > budget:
         raise ValueError(
             f"brute-force budget exceeded: {n_pairs} pair evaluations > budget {budget}"
         )
-    shifts = [
-        (u1, u2)
-        for u1 in range(-(L1 - 1), L1)
-        for u2 in range(-(L2 - 1), L2)
-        if (u1, u2) != (0, 0)
-    ]
-    arrays = []
-    reduced = []
-    for idx in range(n_arrays):
-        a = QaryArray(q, _index_to_entries(idx, q, L1, L2))
-        table = auto_correlation_table(a)
+    powers = q ** np.arange(L1 * L2 - 1, -1, -1, dtype=np.int64)
+    digits = (np.arange(n_arrays, dtype=np.int64)[:, None] // powers) % q
+    expected = _expected_reduced(q, L1, L2, 2 * L1 * L2)
+    arrays, partners = [], []
+    by_table: dict[bytes, list[int]] = {}
+    for index, entries in enumerate(digits):
+        a = QaryArray(q, entries.reshape(L1, L2))
+        reduced = auto_correlation_table(a).reduced()
         arrays.append(a)
-        reduced.append([table.value(u1, u2).reduced for u1, u2 in shifts])
-    out = []
-    for ia in range(n_arrays):
-        ra = reduced[ia]
-        for ib in range(n_arrays):
-            rb = reduced[ib]
-            if all(
-                not any(x + y for x, y in zip(va, vb))
-                for va, vb in zip(ra, rb)
-            ):
-                out.append((arrays[ia], arrays[ib]))
-    return out
+        by_table.setdefault(reduced.tobytes(), []).append(index)
+        partners.append((expected - reduced).tobytes())
+    return [
+        (arrays[ia], arrays[ib])
+        for ia in range(n_arrays)
+        for ib in by_table.get(partners[ia], ())
+    ]

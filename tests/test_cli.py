@@ -215,3 +215,51 @@ def test_outputs_deterministic(tmp_path):
     assert main(["gen", "gcap-general", "--spec", spec, "--out", out2]) == 0
     assert (tmp_path / "a_c.csv").read_bytes() == (tmp_path / "b_c.csv").read_bytes()
     assert (tmp_path / "a_d.csv").read_bytes() == (tmp_path / "b_d.csv").read_bytes()
+
+
+def _one_line_error(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
+
+
+def test_verify_negative_max_violations_exits_2(tmp_path, capsys):
+    c, d = construct_gcap_general(golden.general_q2_spec())
+    paths = [str(tmp_path / "c.csv"), str(tmp_path / "d.csv")]
+    formats.save_array(c, paths[0])
+    formats.save_array(d, paths[1])
+    assert main(["verify", "gcap", *paths, "--max-violations", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_violations" in _one_line_error(captured.err)
+
+
+def test_bad_oversample_env_only_affects_papr(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GOLAY2D_OVERSAMPLE", "lots")
+    c, d = construct_gcap_general(golden.general_q2_spec())
+    paths = [str(tmp_path / "c.csv"), str(tmp_path / "d.csv")]
+    formats.save_array(c, paths[0])
+    formats.save_array(d, paths[1])
+    assert main(["verify", "gcap", *paths]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert main(["papr", paths[0], "--json"]) == 2
+    assert "GOLAY2D_OVERSAMPLE must be an integer" in _one_line_error(capsys.readouterr().err)
+    assert main(["papr", paths[0], "--json", "--oversample", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["oversampling"] == 8
+
+
+def test_search_nonpositive_size_exits_2(capsys):
+    assert main(["search", "2", "0", "4"]) == 2
+    assert "L1" in _one_line_error(capsys.readouterr().err)
+    assert main(["search", "2", "2", "-1"]) == 2
+    assert "L2" in _one_line_error(capsys.readouterr().err)
+
+
+def test_ragged_csv_names_the_line(tmp_path, capsys):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("# q=4\n0,1,2\n3,0\n")
+    good = tmp_path / "good.csv"
+    formats.save_array(QaryArray(4, [[0, 1, 2], [3, 0, 1]]), good)
+    assert main(["verify", "gcap", str(ragged), str(good)]) == 2
+    message = _one_line_error(capsys.readouterr().err)
+    assert "line 3" in message and "inhomogeneous" not in message

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from golay2d import (
+    CorrelationTable,
     CorrelationValue,
     QaryArray,
     auto_correlation_table,
@@ -12,6 +13,7 @@ from golay2d import (
     cross_correlation_table,
     cyclotomic_polynomial,
 )
+from golay2d.correlation import fft_error_bound, reduction_matrix
 
 import golden
 from helpers import naive_cross_correlation, random_array
@@ -194,3 +196,76 @@ def test_shift_and_shape_errors():
         t.value(2, 0)
     with pytest.raises(ValueError):
         t + auto_correlation_table(QaryArray(2, [[0, 1]]))
+
+
+TENSOR_QS = (2, 4, 6, 8, 12)
+
+
+def _assert_tensor_is_direct(table, c, d):
+    assert table.counts.shape == (2 * c.L1 - 1, 2 * c.L2 - 1, c.q)
+    for u1, u2 in table.shifts():
+        direct = cross_correlation(c, d, u1, u2).counts
+        assert tuple(table.counts[u1 + c.L1 - 1, u2 + c.L2 - 1]) == direct, (u1, u2)
+
+
+def test_count_tensor_equals_direct_definition():
+    rng = np.random.default_rng(2024)
+    # Fixed shapes cover 1-wide, prime and other non-power-of-two sides.
+    shapes = [(1, 1), (1, 9), (9, 1), (3, 7), (5, 6), (9, 9)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 10, 2)) for _ in range(4)]
+    for q in TENSOR_QS:
+        for L1, L2 in shapes:
+            c = random_array(rng, q=q, L1=L1, L2=L2)
+            d = random_array(rng, q=q, L1=L1, L2=L2)
+            _assert_tensor_is_direct(auto_correlation_table(c), c, c)
+            _assert_tensor_is_direct(cross_correlation_table(c, d), c, d)
+
+
+def test_count_tensor_uncertified_rounding_raises(monkeypatch):
+    arr = random_array(np.random.default_rng(1), q=4, L1=3, L2=5)
+    inverse = np.fft.irfft2
+    monkeypatch.setattr(np.fft, "irfft2", lambda *args, **kwargs: inverse(*args, **kwargs) + 0.3)
+    with pytest.raises(ArithmeticError):
+        auto_correlation_table(arr)
+    with pytest.raises(ArithmeticError):
+        cross_correlation_table(arr, arr)
+
+
+def test_fft_error_bound_certifies_practical_sizes():
+    # 64 x 64 arrays use 128 x 128 transforms.
+    assert fft_error_bound(128, 128, 4, 64 * 64) < 1e-6
+    assert fft_error_bound(256, 256, 12, 128 * 128) < 1e-5
+    assert fft_error_bound(1, 1, 2, 1) < 1e-15
+    assert fft_error_bound(1 << 16, 1 << 16, 12, 1 << 30) > 0.25
+
+
+def test_reduction_matrix():
+    assert reduction_matrix(2).tolist() == [[1], [-1]]
+    assert reduction_matrix(4).tolist() == [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    # x^3 = -1 and x^4 = -x, x^5 = x - 1 modulo x^2 - x + 1
+    assert reduction_matrix(6).tolist() == [[1, 0], [0, 1], [-1, 1], [-1, 0], [0, -1], [1, -1]]
+    rng = np.random.default_rng(11)
+    for q in TENSOR_QS:
+        counts = rng.integers(-50, 50, q)
+        assert CorrelationValue(q, counts).reduced == tuple(counts @ reduction_matrix(q))
+
+
+def test_table_views_sum_and_equality():
+    rng = np.random.default_rng(31)
+    c = random_array(rng, q=4, L1=3, L2=4)
+    d = random_array(rng, q=4, L1=3, L2=4)
+    tc, td = auto_correlation_table(c), auto_correlation_table(d)
+    total = tc + td
+    assert np.array_equal(total.counts, tc.counts + td.counts)
+    for (u1, u2), value in total.items():
+        assert value == tc.value(u1, u2) + td.value(u1, u2)
+    # Different count tensors with the same reduced values compare equal.
+    shifted = CorrelationTable(4, 3, 4, tc.counts + 1)
+    assert shifted == tc and not np.array_equal(shifted.counts, tc.counts)
+    assert CorrelationTable(4, 3, 4, tc.counts + np.array([1, 0, 0, 0])) != tc
+    with pytest.raises(ValueError):
+        CorrelationTable(4, 3, 4, tc.counts[:, :, :2])
+    with pytest.raises(ValueError):
+        CorrelationTable(4, 3, 4, tc.counts.astype(float))
+    with pytest.raises(ValueError):
+        tc.counts[0, 0, 0] = 5

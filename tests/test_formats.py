@@ -172,3 +172,19 @@ def test_report_json_dicts():
     assert ver["passed"] and ver["center"] == "64" and ver["violations"] == []
     bad = formats.verification_to_json_dict(is_gcap(c, c))
     assert not bad["passed"] and bad["violations"]
+
+
+def test_ragged_array_csv_names_first_bad_line():
+    with pytest.raises(ValueError, match=r"line 4 has 2 entries, but line 2 has 3"):
+        formats.array_from_csv("# q=4\n0,1,2\n\n3,0\n1,1,1\n")
+    with pytest.raises(ValueError, match=r"line 2 has 3 entries, but line 1 has 2"):
+        formats.array_from_csv("0,1\n1,0,1\n", q=2)
+
+
+def test_table_json_is_the_count_tensor():
+    rng = np.random.default_rng(7)
+    arr = random_array(rng, q=6, L1=3, L2=5)
+    table = auto_correlation_table(arr)
+    assert formats.correlation_table_to_json_dict(table)["counts"] == table.counts.tolist()
+    with pytest.raises(ValueError):
+        formats.correlation_table_from_json_dict({"q": 6, "L1": 3, "L2": 5, "counts": [[[1]]]})

@@ -16,6 +16,7 @@ from golay2d import (
 )
 
 import golden
+from helpers import random_general_spec
 
 
 def test_is_gcs_on_sequence_pair():
@@ -168,3 +169,49 @@ def test_brute_force_budget():
     with pytest.raises(ValueError):
         brute_force_gcaps(2, 2, 2, budget=255)
     assert len(brute_force_gcaps(2, 2, 2, budget=256)) > 0
+
+
+def test_corner_mutation_fails_at_the_opposite_corner():
+    rng = np.random.default_rng(17)
+    for q, n, m in ((2, 2, 3), (4, 3, 2), (8, 2, 2)):
+        c, d = construct_gcap_general(random_general_spec(rng, q=q, n=n, m=m))
+        L1, L2 = c.L1, c.L2
+        entries = c.entries.copy()
+        entries[0, 0] = (entries[0, 0] + 1) % q
+        result = is_gcap(QaryArray(q, entries), d, max_violations=(2 * L1 - 1) * (2 * L2 - 1))
+        assert not result.passed and not result.truncated
+        shifts = [shift for shift, _ in result.violations]
+        assert (L1 - 1, L2 - 1) in shifts and (1 - L1, 1 - L2) in shifts
+        assert (0, 0) not in shifts
+
+
+def test_violations_follow_row_major_order():
+    c, _ = construct_gcap_general(golden.general_q2_spec())
+    every = is_gcap(c, c, max_violations=10_000)
+    shifts = [shift for shift, _ in every.violations]
+    assert shifts == sorted(shifts) and not every.truncated
+    capped = is_gcap(c, c, max_violations=3)
+    assert capped.violations == every.violations[:3] and capped.truncated
+
+
+def test_max_violations_zero_and_negative():
+    c, d = construct_gcap_general(golden.general_q2_spec())
+    passing = is_gcap(c, d, max_violations=0)
+    assert passing.passed and not passing.truncated
+    failing = is_gcap(c, c, max_violations=0)
+    assert not failing.passed and failing.truncated and failing.violations == ()
+    for check in (
+        lambda: is_gcap(c, d, max_violations=-1),
+        lambda: is_gcas([c, d], max_violations=-1),
+        lambda: is_gcs(gdj_pair(2, 2, (1, 2)), max_violations=-1),
+        lambda: is_mate((c, d), (c, d), max_violations=-1),
+    ):
+        with pytest.raises(ValueError, match="max_violations"):
+            check()
+
+
+def test_brute_force_rejects_nonpositive_sizes():
+    with pytest.raises(ValueError, match="L1"):
+        brute_force_gcaps(2, 0, 4)
+    with pytest.raises(ValueError, match="L2"):
+        brute_force_gcaps(2, 2, -1)

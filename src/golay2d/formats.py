@@ -15,9 +15,11 @@ from __future__ import annotations
 import json
 import re
 
+import numpy as np
+
 from .boolfunc import GeneralizedBooleanFunction, QaryArray
 from .constructions import GcapBasicSpec, GcapGeneralSpec, GcasSpec
-from .correlation import CorrelationTable, CorrelationValue
+from .correlation import CorrelationTable, CorrelationValue, reduction_matrix
 from .papr import PaprReport
 from .verify import VerificationResult
 
@@ -184,9 +186,36 @@ def parse_correlation_value(cell: str, q: int) -> CorrelationValue:
 
 
 def correlation_table_to_csv(table: CorrelationTable) -> str:
+    """The table as CSV, each cell formatted as format_correlation_value would.
+
+    Which cells are Gaussian integers and which are real is decided for all
+    cells at once from the count tensor: a cell is the Gaussian integer
+    a + b*i (b = 0 unless 4 divides q) nearest its complex value exactly when
+    the reduced counts agree, and it is real exactly when its reduced counts
+    equal those of its conjugate, whose exponents are e -> -e mod q.  Only the
+    remaining cells build a CorrelationValue for their float digits.
+    """
+    q = table.q
+    counts = table.counts.reshape(-1, q)
+    reduction = reduction_matrix(q)
+    reduced = counts @ reduction
+    z = counts @ np.exp(2j * np.pi * np.arange(q) / q)
+    a = np.rint(z.real).astype(np.int64)
+    b = np.rint(z.imag).astype(np.int64) if q % 4 == 0 else np.zeros_like(a)
+    nearest = np.outer(a, reduction[0]) + np.outer(b, reduction[q // 4])
+    gaussian = (reduced == nearest).all(axis=1)
+    real = (reduced == counts[:, -np.arange(q) % q] @ reduction).all(axis=1)
+    cells = []
+    for k, (ak, bk, is_gaussian, is_real) in enumerate(
+        zip(a.tolist(), b.tolist(), gaussian.tolist(), real.tolist())
+    ):
+        if is_gaussian:
+            cells.append(str(ak) if bk == 0 else f"{ak}{bk:+d}i")
+            continue
+        zk = CorrelationValue(q, counts[k].tolist()).to_complex()
+        cells.append(f"{zk.real:.12g}" if is_real else f"{zk.real:.12g}{zk.imag:+.12g}i")
     width = 2 * table.L2 - 1
-    cells = [format_correlation_value(value) for _, value in table.items()]
-    lines = [f"# q={table.q} L1={table.L1} L2={table.L2}"]
+    lines = [f"# q={q} L1={table.L1} L2={table.L2}"]
     lines += [",".join(cells[k:k + width]) for k in range(0, len(cells), width)]
     return "\n".join(lines) + "\n"
 

@@ -263,3 +263,18 @@ def test_ragged_csv_names_the_line(tmp_path, capsys):
     assert main(["verify", "gcap", str(ragged), str(good)]) == 2
     message = _one_line_error(capsys.readouterr().err)
     assert "line 3" in message and "inhomogeneous" not in message
+
+
+def test_papr_low_oversample_and_odd_q_exit_2(tmp_path, capsys):
+    one = tmp_path / "one.csv"
+    formats.save_array(QaryArray(2, [[1]]), one)
+    assert main(["papr", str(one), "--oversample", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "oversampling" in _one_line_error(captured.err)
+    odd = tmp_path / "odd.csv"
+    odd.write_text("# q=3\n0,1,2\n2,1,0\n")
+    assert main(["papr", str(odd)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "even" in _one_line_error(captured.err)

@@ -10,8 +10,10 @@ from golay2d import (
     GcasSpec,
     GeneralizedBooleanFunction,
     QaryArray,
+    CorrelationTable,
     auto_correlation_table,
     construct_gcap_general,
+    cross_correlation_table,
     is_gcap,
     papr_report,
 )
@@ -188,3 +190,28 @@ def test_table_json_is_the_count_tensor():
     assert formats.correlation_table_to_json_dict(table)["counts"] == table.counts.tolist()
     with pytest.raises(ValueError):
         formats.correlation_table_from_json_dict({"q": 6, "L1": 3, "L2": 5, "counts": [[[1]]]})
+
+
+def _per_cell_csv(table) -> str:
+    width = 2 * table.L2 - 1
+    cells = [formats.format_correlation_value(value) for _, value in table.items()]
+    lines = [f"# q={table.q} L1={table.L1} L2={table.L2}"]
+    lines += [",".join(cells[k:k + width]) for k in range(0, len(cells), width)]
+    return "\n".join(lines) + "\n"
+
+
+def test_table_csv_matches_per_cell_formatting():
+    rng = np.random.default_rng(101)
+    for q in (2, 4, 6, 8, 12):
+        for _ in range(6):
+            L1, L2 = (int(v) for v in rng.integers(1, 10, 2))
+            c = QaryArray(q, rng.integers(0, q, (L1, L2)))
+            d = QaryArray(q, rng.integers(0, q, (L1, L2)))
+            # arbitrary signed counts reach values no correlation of arrays this small takes
+            noise = rng.integers(-3, 4, (2 * L1 - 1, 2 * L2 - 1, q))
+            for table in (
+                auto_correlation_table(c),
+                cross_correlation_table(c, d),
+                CorrelationTable(q, L1, L2, noise),
+            ):
+                assert formats.correlation_table_to_csv(table) == _per_cell_csv(table)

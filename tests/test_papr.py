@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import golay2d.papr
 from golay2d import (
     GcapGeneralSpec,
     QaryArray,
@@ -150,3 +153,86 @@ def test_all_zero_square_array_paprs():
     arr = QaryArray(2, [[0, 0], [0, 0]])
     report = papr_report(arr)
     assert all(v == pytest.approx(2.0, abs=1e-9) for v in report.per_row + report.per_col)
+
+
+def _sampled_max(rows: np.ndarray, q: int, oversampling: int) -> np.ndarray:
+    """Largest of oversampling * L uniform samples of |S(t)|^2 / L, per row."""
+    L = rows.shape[1]
+    z = np.exp(2j * np.pi * rows / q)
+    return (np.abs(np.fft.fft(z, oversampling * L, axis=1)) ** 2).max(axis=1) / L
+
+
+def test_papr_within_oracle_sampling_interval():
+    # Independent oracle: a polynomial of degree below L sampled at R*L
+    # points obeys max|S| <= max_k |S(t_k)| / cos(pi / 2R), so with R = 4096
+    # the true PAPR lies in [sampled max, sampled max / cos^2(pi / 8192)].
+    R = 4096
+    widen = math.cos(math.pi / (2 * R)) ** 2
+    rng = np.random.default_rng(79)
+    for _ in range(60):
+        q = int(rng.choice((2, 4, 6, 8, 12)))
+        L1, L2 = (int(v) for v in rng.integers(1, 12, 2))
+        arr = QaryArray(q, rng.integers(0, q, (L1, L2)))
+        report = papr_report(arr)
+        for values, rows in ((report.per_row, arr.entries), (report.per_col, arr.entries.T)):
+            values = np.asarray(values)
+            floor = _sampled_max(rows, q, R)
+            assert (values >= floor * (1 - 1e-12)).all()
+            assert (values <= floor / widen * (1 + 1e-12)).all()
+
+
+def test_rows_equal_up_to_a_constant_report_identical_values(monkeypatch):
+    kernel_rows = []
+    paprs = golay2d.papr._paprs
+
+    def recording_paprs(seqs, q, oversampling):
+        kernel_rows.append(len(seqs))
+        return paprs(seqs, q, oversampling)
+
+    monkeypatch.setattr(golay2d.papr, "_paprs", recording_paprs)
+    rng = np.random.default_rng(83)
+    for q in (2, 4, 6, 8, 12):
+        base = rng.integers(0, q, 13)
+        offsets = rng.integers(0, q, 7)
+        arr = QaryArray(q, (base[None, :] + offsets[:, None]) % q)
+        kernel_rows.clear()
+        report = papr_report(arr)
+        assert kernel_rows[0] == 1
+        assert len(set(report.per_row)) == 1
+        assert report.per_row[0] == pytest.approx(papr_sequence(base, q), rel=1e-12)
+
+
+def test_length_one_axis_reports_one():
+    rng = np.random.default_rng(89)
+    for q in (2, 6, 12):
+        seq = rng.integers(0, q, 9)
+        wide = papr_report(QaryArray(q, seq[None, :]))
+        tall = papr_report(QaryArray(q, seq[:, None]))
+        assert wide.per_col == (1.0,) * 9 and tall.per_row == (1.0,) * 9
+        assert wide.per_row == tall.per_col
+        assert wide.per_row[0] == pytest.approx(papr_sequence(seq, q), rel=1e-12)
+
+
+def test_report_rejects_low_oversampling_even_for_one_cell():
+    with pytest.raises(ValueError, match="oversampling"):
+        papr_report(QaryArray(2, [[0]]), oversampling=2)
+
+
+def test_spectra_stay_within_the_block_limit(monkeypatch):
+    rng = np.random.default_rng(97)
+    arr = QaryArray(4, rng.integers(0, 4, (128, 128)))
+    sizes = []
+    ifft = np.fft.ifft
+
+    def recording_ifft(*args, **kwargs):
+        out = ifft(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(golay2d.papr.np.fft, "ifft", recording_ifft)
+    report = papr_report(arr)
+    assert sizes and max(sizes) <= golay2d.papr._BLOCK_POINTS
+    monkeypatch.setattr(golay2d.papr, "_BLOCK_POINTS", 1)
+    sizes.clear()
+    assert papr_report(arr) == report
+    assert max(sizes) == 256 * 128

@@ -7,13 +7,16 @@ is located by dense sampling at R*L uniform points followed by a local
 ternary-search refinement down to 1e-10 in t, which pins the maximum far
 below the 1e-3 tolerances used by the numeric tests.
 
-One kernel measures a whole matrix of sequences: the oversampled spectra
-come from zero-padded inverse FFTs on blocks of rows of bounded size, and
-the refinement runs in lockstep for all rows, one vectorised envelope
-evaluation per step.  A report measures each axis once per distinct row up
-to a constant: adding k to a sequence multiplies S(t) by the unit xi^k and
-leaves |S(t)| unchanged, and the constructions repeat rows heavily in this
-sense.
+One kernel measures a whole matrix of sequences.  The best of the R*L
+samples is found without taking all of them: a zero-padded inverse FFT
+samples a subgrid of 16 points per 1/L on blocks of rows of bounded size,
+and a curvature bound on |S|^2 names the few windows of the full grid that
+can hold the best sample, which are then evaluated directly.  The
+refinement runs in lockstep for all rows, one vectorised envelope
+evaluation per step, with each exponential split into two short factors.
+A report measures each axis once per distinct row up to a constant:
+adding k to a sequence multiplies S(t) by the unit xi^k and leaves |S(t)|
+unchanged, and the constructions repeat rows heavily in this sense.
 
 Analytic upper bounds for arrays built by the path constructions come from
 the positions the path spends on one axis: splitting those positions into v
@@ -24,6 +27,7 @@ tightest bound of this family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,8 @@ __all__ = [
 
 DEFAULT_OVERSAMPLING = 256
 _REFINE_TOL = 1e-10
+# Samples per 1/L on the coarse subgrid that locates each row's best sample.
+_COARSE_OVERSAMPLING = 16
 # Most samples, or phase terms per refinement probe, held at once for a block of rows.
 _BLOCK_POINTS = 1 << 15
 
@@ -76,42 +82,106 @@ def _require_oversampling(oversampling: int):
         raise ValueError("oversampling factor must be at least 4")
 
 
-def _envelope_powers(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """|S(t)|^2 of every row of coeffs (S, L) at the points t (S, K); shape (S, K)."""
-    phases = np.exp(2j * np.pi * np.arange(coeffs.shape[1]) * t[..., None])
-    return np.abs(phases @ coeffs[:, :, None])[..., 0] ** 2
+def _phase_grid(coeffs: np.ndarray) -> np.ndarray:
+    """The rows of coeffs (S, L), zero-padded and folded to (S, B, C) with B*C >= L.
+
+    Entry [s, a, b] is coefficient a + B*b, and B is a power of two near
+    sqrt(L), so exp(2*pi*i*(a + B*b)*t) splits into B + C exponentials.
+    """
+    S, L = coeffs.shape
+    B = 1 << ((L - 1).bit_length() // 2)
+    C = -(-L // B)
+    grid = np.zeros((S, C * B), dtype=complex)
+    grid[:, :L] = coeffs
+    return grid.reshape(S, C, B).transpose(0, 2, 1)
+
+
+def _envelope_powers(grid: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """|S(t)|^2 of every folded row of grid (S, B, C) at the points t (S, K); shape (S, K)."""
+    _, B, C = grid.shape
+    low = np.exp(2j * np.pi * t[..., None] * np.arange(B))
+    high = np.exp(2j * np.pi * t[..., None] * (B * np.arange(C)))
+    return np.abs(((low @ grid) * high).sum(axis=-1)) ** 2
+
+
+def _coarse_step(oversampling: int) -> int:
+    """Fine samples per coarse sample: R / 16 when that divides R, else a smaller divisor of R."""
+    return math.gcd(oversampling, max(1, oversampling // _COARSE_OVERSAMPLING))
+
+
+def _grid_peaks(coeffs: np.ndarray, oversampling: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index and |S|^2 of the best of the R*L uniform samples of every row.
+
+    Only every step-th sample is taken by FFT, with step = R / 16 when that
+    divides R.  P = |S|^2 is a real trigonometric polynomial of degree below
+    L, so |P''| <= (2*pi*L)^2 max P, and at a local maximum t* the nearest
+    coarse sample t_j, at most step / (2RL) away, has
+    P(t_j) >= P(t*) - h max P with h = (pi * step / R)^2 / 2.  The best fine
+    sample lies within one fine step of such a t*, and P there is at least
+    the best coarse sample P_c, while max P <= P_c / (1 - h).  So it lies
+    within step // 2 + 1 fine samples of a coarse sample of at least
+    P_c * (1 - h / (1 - h)); those windows are evaluated directly.
+    """
+    L = coeffs.shape[1]
+    step = _coarse_step(oversampling)
+    coarse = oversampling // step * L
+    power = np.abs(np.fft.ifft(coeffs, n=coarse, axis=1, norm="forward")) ** 2
+    h = (np.pi * step / oversampling) ** 2 / 2
+    floor = power.max(axis=1) * (1 - h / (1 - h) - 1e-9)
+    rows, cols = np.nonzero(power >= floor[:, None])
+    n = np.arange(L)
+    offsets = np.arange(-(step // 2) - 1, step // 2 + 2)
+    window = np.exp(2j * np.pi * np.outer(n, offsets) / (oversampling * L))
+    best = np.empty(len(rows))
+    at = np.empty(len(rows), dtype=np.int64)
+    chunk = max(1, _BLOCK_POINTS // L)
+    for s in range(0, len(rows), chunk):
+        pairs = slice(s, s + chunk)
+        twist = np.exp(2j * np.pi * (np.outer(cols[pairs], n) % coarse) / coarse)
+        values = np.abs((coeffs[rows[pairs]] * twist) @ window) ** 2
+        best[pairs] = values.max(axis=1)
+        at[pairs] = cols[pairs] * step + offsets[values.argmax(axis=1)]
+    # rows is sorted, so this picks each row's best pair, the first on a tie.
+    order = np.lexsort((-best, rows))
+    first = order[np.searchsorted(rows[order], np.arange(len(coeffs)))]
+    return at[first] % (oversampling * L), best[first]
 
 
 def _refined_peaks(coeffs: np.ndarray, peak: np.ndarray, num: int) -> np.ndarray:
     """Lockstep ternary search of every row's bracket around its best sample.
 
+    The search runs in the offset u from the sample, S(peak / num + u),
+    whose coefficients are the row's twisted by exp(2*pi*i*n*peak / num).
     Every bracket starts at width 2/num, and each step evaluates both probes
     of every row at once; a row whose bracket is already below _REFINE_TOL
     keeps it, so each row takes the steps of a scalar ternary search.
     Returns |S|^2 at the final bracket centres.
     """
-    lo = (peak - 1) / num
-    hi = (peak + 1) / num
+    n = np.arange(coeffs.shape[1])
+    grid = _phase_grid(coeffs * np.exp(2j * np.pi * (np.outer(peak, n) % num) / num))
+    lo = np.full(len(peak), -1 / num)
+    hi = -lo
     active = hi - lo > _REFINE_TOL
     while active.any():
         third = (hi - lo) / 3
         probes = np.stack([lo + third, hi - third], axis=1)
-        power = _envelope_powers(coeffs, probes)
+        power = _envelope_powers(grid, probes)
         rising = power[:, 0] < power[:, 1]
         lo = np.where(active & rising, probes[:, 0], lo)
         hi = np.where(active & ~rising, probes[:, 1], hi)
         active = hi - lo > _REFINE_TOL
-    return _envelope_powers(coeffs, ((lo + hi) / 2)[:, None])[:, 0]
+    return _envelope_powers(grid, ((lo + hi) / 2)[:, None])[:, 0]
 
 
 def _paprs(seqs: np.ndarray, q: int, oversampling: int) -> np.ndarray:
     """PAPR of every row of the (S, L) integer matrix seqs, as float64 (S,).
 
-    |S(t)|^2 is sampled at oversampling * L points by a zero-padded inverse
-    FFT, on blocks of rows that hold at most _BLOCK_POINTS samples (one row
-    when a single row is longer), and the best sample of each row is then
-    refined.  The refinement works on chunks of rows of at most
-    _BLOCK_POINTS phase terms, so memory stays flat in S.
+    The best of oversampling * L uniform samples of |S(t)|^2 is found from a
+    zero-padded inverse FFT on a coarser subgrid (see _grid_peaks), on blocks
+    of rows that hold at most _BLOCK_POINTS coarse samples (one row when a
+    single row is longer), and is then refined.  The refinement works on
+    chunks of rows of at most _BLOCK_POINTS phase terms, so memory stays
+    flat in S.
     """
     S, L = seqs.shape
     if L == 1:
@@ -120,12 +190,10 @@ def _paprs(seqs: np.ndarray, q: int, oversampling: int) -> np.ndarray:
     num = oversampling * L
     peak = np.empty(S, dtype=np.int64)
     best = np.empty(S)
-    block = max(1, _BLOCK_POINTS // num)
+    block = max(1, _BLOCK_POINTS // (num // _coarse_step(oversampling)))
     for s in range(0, S, block):
-        spectra = np.fft.ifft(coeffs[s:s + block], n=num, axis=1, norm="forward")
-        samples = np.abs(spectra) ** 2
-        peak[s:s + block] = samples.argmax(axis=1)
-        best[s:s + block] = samples.max(axis=1)
+        rows = slice(s, s + block)
+        peak[rows], best[rows] = _grid_peaks(coeffs[rows], oversampling)
     chunk = max(1, _BLOCK_POINTS // (2 * L))
     for s in range(0, S, chunk):
         rows = slice(s, s + chunk)

@@ -235,4 +235,20 @@ def test_spectra_stay_within_the_block_limit(monkeypatch):
     monkeypatch.setattr(golay2d.papr, "_BLOCK_POINTS", 1)
     sizes.clear()
     assert papr_report(arr) == report
-    assert max(sizes) == 256 * 128
+    assert max(sizes) == golay2d.papr._COARSE_OVERSAMPLING * 128
+
+
+def test_grid_peaks_find_the_best_fine_sample():
+    # The coarse subgrid plus windows must find the largest of all R*L
+    # samples, at the index it reports.
+    rng = np.random.default_rng(101)
+    for R in (4, 5, 16, 48, 256):
+        for q in (2, 4, 6, 8, 12):
+            L = int(rng.integers(2, 40))
+            rows = np.vstack([rng.integers(0, q, (300, L)), np.zeros((1, L), int),
+                              np.arange(L)[None, :] * (q // 2) % q])
+            coeffs = np.exp(2j * np.pi * rows / q)
+            peak, best = golay2d.papr._grid_peaks(coeffs, R)
+            assert best / L == pytest.approx(_sampled_max(rows, q, R), rel=1e-12)
+            at_peak = np.exp(2j * np.pi * np.outer(peak, np.arange(L)) / (R * L))
+            assert np.abs((coeffs * at_peak).sum(axis=1)) ** 2 == pytest.approx(best, rel=1e-12)

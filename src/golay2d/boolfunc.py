@@ -59,6 +59,16 @@ def z_role(l: int, n: int, m: int) -> VariableRole:
     return VariableRole(l, "x", l - n)
 
 
+def _bit_planes(n: int, m: int) -> np.ndarray:
+    """The variables z_1..z_{n+m} on the 2^n x 2^m grid, as booleans.
+
+    planes[l - 1, g, i] is z_l at cell (g, i) under the little-endian bit
+    assignment: bit l-1 of the word g | (i << n).  Shape (n+m, 2^n, 2^m).
+    """
+    words = np.arange(1 << n)[:, None] | (np.arange(1 << m)[None, :] << n)
+    return (words >> np.arange(n + m)[:, None, None]) & 1 == 1
+
+
 class GeneralizedBooleanFunction:
     """Z_q-valued polynomial in binary variables z_1..z_{n+m}, in canonical ANF.
 
@@ -68,7 +78,7 @@ class GeneralizedBooleanFunction:
     hash equal.  Instances are immutable.
     """
 
-    __slots__ = ("q", "n", "m", "terms", "constant", "_masks")
+    __slots__ = ("q", "n", "m", "terms", "constant")
 
     def __init__(self, q, n, m, terms=(), constant=0):
         q = require_even_q(q)
@@ -79,9 +89,9 @@ class GeneralizedBooleanFunction:
         merged: dict[tuple[int, ...], int] = {}
         for coeff, variables in terms:
             key = tuple(sorted({int(v) for v in variables}))
-            for v in key:
-                if not 1 <= v <= n + m:
-                    raise ValueError(f"variable z_{v} outside 1..{n + m}")
+            if key and not (key[0] >= 1 and key[-1] <= n + m):
+                bad = next(v for v in key if not 1 <= v <= n + m)
+                raise ValueError(f"variable z_{bad} outside 1..{n + m}")
             if not key:
                 const = (const + int(coeff)) % q
                 continue
@@ -92,9 +102,6 @@ class GeneralizedBooleanFunction:
         self.constant = const
         self.terms = tuple(
             (c, vs) for vs, c in sorted(merged.items()) if c
-        )
-        self._masks = tuple(
-            (sum(1 << (v - 1) for v in vs), c) for c, vs in self.terms
         )
 
     @property
@@ -112,21 +119,20 @@ class GeneralizedBooleanFunction:
         if not 0 <= i < (1 << self.m):
             raise ValueError(f"column index {i} outside 0..{(1 << self.m) - 1}")
         word = g | (i << self.n)
-        total = self.constant
-        for mask, coeff in self._masks:
-            if word & mask == mask:
-                total += coeff
+        total = self.constant + sum(
+            coeff for coeff, vs in self.terms if all(word >> (v - 1) & 1 for v in vs)
+        )
         return total % self.q
 
     def to_array(self) -> "QaryArray":
         """Evaluate on the full 2^n x 2^m grid."""
-        words = (
-            np.arange(1 << self.n, dtype=np.int64)[:, None]
-            | (np.arange(1 << self.m, dtype=np.int64)[None, :] << self.n)
-        )
-        out = np.full(words.shape, self.constant, dtype=np.int64)
-        for mask, coeff in self._masks:
-            out += coeff * ((words & mask) == mask)
+        planes = _bit_planes(self.n, self.m)
+        out = np.full(planes.shape[1:], self.constant, dtype=np.int64)
+        for coeff, vs in self.terms:
+            monomial = planes[vs[0] - 1]
+            for v in vs[1:]:
+                monomial = monomial & planes[v - 1]
+            out += coeff * monomial
         return QaryArray(self.q, out % self.q)
 
     def add_term(self, coeff, variables) -> "GeneralizedBooleanFunction":
@@ -176,6 +182,16 @@ class GeneralizedBooleanFunction:
         )
 
 
+def _frozen_phases(q: int, arr: np.ndarray, ndim: int) -> np.ndarray:
+    """arr made read-only, once it is checked to be nonempty, ndim-D and within 0..q-1."""
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"entries must form a nonempty {ndim}-D array")
+    if ((arr < 0) | (arr >= q)).any():
+        raise ValueError(f"entries must lie in 0..{q - 1}")
+    arr.setflags(write=False)
+    return arr
+
+
 class QaryArray:
     """Immutable L1 x L2 array of phases in Z_q.
 
@@ -189,17 +205,31 @@ class QaryArray:
 
     def __init__(self, q, entries):
         q = require_even_q(q)
-        arr = np.array(entries, copy=True)
+        arr = np.asarray(entries)
         if arr.dtype.kind not in "iu":
             raise ValueError(f"entries must be integers, got dtype {arr.dtype}")
-        arr = arr.astype(np.int64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("entries must form a nonempty 2-D array")
-        if ((arr < 0) | (arr >= q)).any():
-            raise ValueError(f"entries must lie in 0..{q - 1}")
-        arr.setflags(write=False)
+        # One copy: a list or tuple was just converted, anything else may be shared.
+        arr = arr.astype(np.int64, copy=not isinstance(entries, (list, tuple)))
         self.q = q
-        self.entries = arr
+        self.entries = _frozen_phases(q, arr, 2)
+
+    @classmethod
+    def _stack(cls, q: int, block: np.ndarray) -> list["QaryArray"]:
+        """Wrap each entry of an int64 block of shape (N, L1, L2), without copying.
+
+        The whole block is range-checked once and made read-only; every
+        array returned holds a read-only view of one entry.
+        """
+        if block.dtype != np.int64:
+            raise ValueError(f"block must be int64, got dtype {block.dtype}")
+        block = _frozen_phases(q, block, 3)
+        out = []
+        for entries in block:
+            arr = object.__new__(cls)
+            arr.q = q
+            arr.entries = entries
+            out.append(arr)
+        return out
 
     @classmethod
     def from_sequence(cls, q, values) -> "QaryArray":

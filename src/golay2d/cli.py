@@ -15,11 +15,11 @@ import argparse
 import json
 import os
 import sys
-from math import factorial
 
 from . import __version__
 from . import formats
 from .constructions import (
+    _raw_spec_count,
     construct_gcap_basic,
     construct_gcap_general,
     construct_gcas,
@@ -156,8 +156,10 @@ def cmd_papr(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.budget < 0:
+        raise ValueError(f"budget must be at least 0, got {args.budget}")
     formula = count_general_gcaps(args.q, args.n, args.m)
-    raw = factorial(args.n + args.m) * args.q ** (args.n + args.m + 1)
+    raw = _raw_spec_count(args.q, args.n, args.m)
     print(f"formula: {formula}")
     if raw > args.budget:
         print(f"enumeration skipped: {raw} raw specs exceed budget {args.budget}")

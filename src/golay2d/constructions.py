@@ -6,6 +6,11 @@ through the variables z_1..z_{n+m}, with weight q/2 on each edge, plus
 arbitrary linear terms and a constant.  Companion arrays are obtained by
 adding q/2 offsets on path endpoints.  Permutations use 1-indexed one-line
 notation: pi = (3, 4, 2, 1, 5) means pi(1) = 3.
+
+The exhaustive stream of the general pair construction evaluates no
+function per spec: the linear part and constant only add a fixed
+combination of bit planes to the path array of pi, so every pair of one pi
+comes from one block of integer arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 
-from .boolfunc import GeneralizedBooleanFunction, QaryArray, require_even_q
+import numpy as np
+
+from .boolfunc import GeneralizedBooleanFunction, QaryArray, _bit_planes, require_even_q
 
 __all__ = [
     "GcapBasicSpec",
@@ -282,6 +289,17 @@ def construct_gcas(spec: GcasSpec):
     return tuple(out)
 
 
+def _raw_spec_count(q, n, m) -> int:
+    """(n+m)! * q^(n+m+1): the number of (pi, p, p0) choices of the general pair construction."""
+    q = require_even_q(q)
+    for name, size in (("n", n), ("m", m)):
+        if size < 0:
+            raise ValueError(f"{name} must be at least 0, got {size}")
+    if n + m < 2:
+        raise ValueError("the general pair construction needs n + m >= 2")
+    return factorial(n + m) * q ** (n + m + 1)
+
+
 def count_general_gcaps(q, n, m) -> int:
     """Number of distinct first arrays over all (pi, p, p0) choices.
 
@@ -289,10 +307,12 @@ def count_general_gcaps(q, n, m) -> int:
     never overflows.  Reversing pi leaves the quadratic path unchanged, which
     is where the factor 1/2 comes from.
     """
-    q = require_even_q(q)
-    if n + m < 2:
-        raise ValueError("counting needs n + m >= 2")
-    return factorial(n + m) // 2 * q ** (n + m + 1)
+    return _raw_spec_count(q, n, m) // 2
+
+
+# Most cells one block of the enumeration stream holds (one spec when a
+# single array is larger), so its memory stays bounded.
+_BLOCK_CELLS = 1 << 15
 
 
 def enumerate_general_gcaps(q, n, m, budget: int = DEFAULT_ENUM_BUDGET):
@@ -301,24 +321,45 @@ def enumerate_general_gcaps(q, n, m, budget: int = DEFAULT_ENUM_BUDGET):
     Iterates pi in lexicographic order, then p, then p0; the raw stream has
     (n+m)! * q^(n+m+1) entries and must fit the budget.  Deduplicating the
     first arrays of the stream reproduces count_general_gcaps(q, n, m).
+
+    The arrays of one pi are built as blocks of at most _BLOCK_CELLS cells:
+    the quadratic path array once, plus every linear part p . z + p0 at once
+    as a matrix product with the bit planes of z_1..z_{n+m}.  Each block is
+    range-checked once and made read-only, and the yielded arrays are views
+    into it.
     """
     q = require_even_q(q)
-    if n + m < 2:
-        raise ValueError("enumeration needs n + m >= 2")
-    raw = factorial(n + m) * q ** (n + m + 1)
+    raw = _raw_spec_count(q, n, m)
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     if raw > budget:
         raise ValueError(
             f"enumeration budget exceeded: {raw} specs > budget {budget}"
         )
+    return _general_pair_stream(q, n, m)
 
-    def _gen():
-        for pi in itertools.permutations(range(1, n + m + 1)):
-            for p in itertools.product(range(q), repeat=n + m):
-                for p0 in range(q):
-                    spec = GcapGeneralSpec(q, n, m, pi, p, p0)
-                    yield spec, construct_gcap_general(spec)
 
-    return _gen()
+def _general_pair_stream(q: int, n: int, m: int):
+    half = q // 2
+    planes = _bit_planes(n, m)
+    shape = planes.shape[1:]
+    flat = planes.reshape(n + m, -1)
+    per_pi = q ** (n + m + 1)
+    step = max(1, _BLOCK_CELLS // flat.shape[1])
+    # Digit t of spec index k, most significant first: k in product order
+    # of (p_1, ..., p_{n+m}, p0).
+    powers = q ** np.arange(n + m, -1, -1, dtype=np.int64)
+    for pi in itertools.permutations(range(1, n + m + 1)):
+        path = general_gcap_function(GcapGeneralSpec(q, n, m, pi)).to_array().entries.reshape(-1)
+        offset = half * flat[pi[0] - 1]
+        for start in range(0, per_pi, step):
+            digits = np.arange(start, min(start + step, per_pi))[:, None] // powers % q
+            c = (path + digits[:, :-1] @ flat + digits[:, -1:]) % q
+            d = (c + offset) % q
+            firsts = QaryArray._stack(q, c.reshape(-1, *shape))
+            seconds = QaryArray._stack(q, d.reshape(-1, *shape))
+            for row, pair in zip(digits.tolist(), zip(firsts, seconds)):
+                yield GcapGeneralSpec(q, n, m, pi, row[:-1], row[-1]), pair
 
 
 def basic_as_general_spec(spec: GcapBasicSpec) -> GcapGeneralSpec:

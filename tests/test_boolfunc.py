@@ -7,6 +7,7 @@ from golay2d import (
     function_from_array,
     z_role,
 )
+from golay2d.boolfunc import _bit_planes
 
 import golden
 from helpers import random_array
@@ -202,3 +203,43 @@ def test_array_equality_and_hash():
     c = QaryArray(4, [[0, 1], [1, 0]])
     assert a == b and hash(a) == hash(b)
     assert a != c
+
+
+def test_bit_planes_follow_evaluate():
+    for n, m in ((0, 1), (1, 0), (2, 3), (3, 1)):
+        planes = _bit_planes(n, m)
+        assert planes.shape == (n + m, 1 << n, 1 << m) and planes.dtype == bool
+        for l in range(1, n + m + 1):
+            z = GeneralizedBooleanFunction(2, n, m, [(1, (l,))])
+            for g in range(1 << n):
+                for i in range(1 << m):
+                    assert planes[l - 1, g, i] == z.evaluate(g, i)
+
+
+def test_array_owns_a_read_only_copy():
+    source = np.array([[0, 1], [2, 3]], dtype=np.int32)
+    for entries in (source, source.astype(np.int64), source.tolist(), tuple(source.tolist())):
+        arr = QaryArray(4, entries)
+        assert arr.entries.dtype == np.int64 and not arr.entries.flags.writeable
+        assert not np.shares_memory(arr.entries, source)
+    owned = source.astype(np.int64)
+    arr = QaryArray(4, owned)
+    owned[0, 0] = 3
+    assert arr.entries[0, 0] == 0 and owned.flags.writeable
+
+
+def test_stacked_arrays_are_checked_read_only_views():
+    block = np.arange(12, dtype=np.int64).reshape(3, 2, 2) % 4
+    arrays = QaryArray._stack(4, block)
+    assert [a.entries.tolist() for a in arrays] == block.tolist()
+    assert arrays[1] == QaryArray(4, block[1])
+    assert not block.flags.writeable
+    assert all(np.shares_memory(a.entries, block) and not a.entries.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="0..3"):
+        QaryArray._stack(4, np.full((2, 1, 1), 4, dtype=np.int64))
+    with pytest.raises(ValueError, match="int64"):
+        QaryArray._stack(4, np.zeros((2, 1, 1), dtype=np.int32))
+    with pytest.raises(ValueError, match="3-D"):
+        QaryArray._stack(4, np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="3-D"):
+        QaryArray._stack(4, np.zeros((0, 2, 2), dtype=np.int64))

@@ -191,6 +191,18 @@ def test_enumerate_over_budget_skips(capsys):
     assert "formula: 245760" in out and "enumeration skipped" in out
 
 
+def test_enumerate_negative_sizes_and_budget_exit_2(capsys):
+    for argv, name in (
+        (["enumerate", "2", "-1", "3"], "n must be at least 0"),
+        (["enumerate", "2", "3", "-1"], "m must be at least 0"),
+        (["enumerate", "2", "1", "1", "--budget", "-5"], "budget must be at least 0"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "formula:" not in captured.out and "skipped" not in captured.out
+        assert name in _one_line_error(captured.err)
+
+
 def test_enumerate_dump(tmp_path, capsys):
     dump = tmp_path / "stream.jsonl"
     assert main(["enumerate", "2", "1", "1", "--dump", str(dump)]) == 0

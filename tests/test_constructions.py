@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from golay2d import (
     is_mate,
     basic_as_general_spec,
 )
+from golay2d import constructions
 from golay2d.constructions import general_gcap_function
 
 import golden
@@ -244,3 +247,74 @@ def test_enumeration_counts_and_dedup():
 def test_enumeration_budget():
     with pytest.raises(ValueError):
         enumerate_general_gcaps(2, 1, 1, budget=10)
+
+
+ENUM_QS = (2, 4, 6, 8)
+ENUM_SIZES = ((0, 2), (2, 0), (1, 1), (1, 2), (2, 1))
+
+
+def _nested_loop_fields(q, n, m):
+    """Spec fields in the enumeration order by definition: pi, then p, then p0."""
+    return [
+        (q, n, m, pi, p, p0)
+        for pi in itertools.permutations(range(1, n + m + 1))
+        for p in itertools.product(range(q), repeat=n + m)
+        for p0 in range(q)
+    ]
+
+
+def test_enumeration_matches_nested_loop_and_construction():
+    for q in ENUM_QS:
+        # Every pair for q <= 4; every 31st pair (all residues of p0 and p) above.
+        stride = 1 if q <= 4 else 31
+        for n, m in ENUM_SIZES:
+            stream = list(enumerate_general_gcaps(q, n, m))
+            fields = [(s.q, s.n, s.m, s.pi, s.p, s.p0) for s, _ in stream]
+            assert fields == _nested_loop_fields(q, n, m)
+            for spec, pair in stream[::stride]:
+                assert pair == construct_gcap_general(spec), spec
+
+
+def test_enumeration_entries_are_read_only():
+    for _, (c, d) in enumerate_general_gcaps(4, 1, 2):
+        for arr in (c, d):
+            assert not arr.entries.flags.writeable
+            with pytest.raises(ValueError):
+                arr.entries[0, 0] = 1
+
+
+def test_enumeration_blocks_of_one_spec_give_the_same_stream(monkeypatch):
+    blocks = []
+    stack = QaryArray._stack.__func__
+
+    def recording_stack(cls, q, block):
+        blocks.append(block.shape)
+        return stack(cls, q, block)
+
+    monkeypatch.setattr(QaryArray, "_stack", classmethod(recording_stack))
+    default = {
+        (q, n, m): list(enumerate_general_gcaps(q, n, m))
+        for q, n, m in ((2, 2, 2), (4, 1, 2), (6, 0, 2))
+    }
+    assert blocks and all(a * b * c <= constructions._BLOCK_CELLS for a, b, c in blocks)
+    # 100 cells split each permutation's specs into uneven blocks; 1 cell
+    # leaves one spec per block.
+    for limit in (100, 1):
+        monkeypatch.setattr(constructions, "_BLOCK_CELLS", limit)
+        for (q, n, m), stream in default.items():
+            blocks.clear()
+            assert list(enumerate_general_gcaps(q, n, m)) == stream
+            assert all(a * b * c <= max(limit, b * c) for a, b, c in blocks)
+
+
+def test_negative_sizes_are_rejected_by_name():
+    with pytest.raises(ValueError, match="n must be at least 0, got -1"):
+        count_general_gcaps(2, -1, 3)
+    with pytest.raises(ValueError, match="m must be at least 0, got -2"):
+        count_general_gcaps(2, 4, -2)
+    with pytest.raises(ValueError, match="n must be at least 0"):
+        enumerate_general_gcaps(2, -1, 3)
+    with pytest.raises(ValueError, match="m must be at least 0"):
+        enumerate_general_gcaps(2, 3, -1)
+    with pytest.raises(ValueError, match="budget must be at least 0"):
+        enumerate_general_gcaps(2, 1, 1, budget=-5)

@@ -59,6 +59,12 @@ def z_role(l: int, n: int, m: int) -> VariableRole:
     return VariableRole(l, "x", l - n)
 
 
+# Most elements (cells, samples or phase terms) one block of a vectorised
+# kernel holds, so that memory stays bounded; papr and the enumeration stream
+# both work in blocks of this size.
+_BLOCK_POINTS = 1 << 15
+
+
 def _bit_planes(n: int, m: int) -> np.ndarray:
     """The variables z_1..z_{n+m} on the 2^n x 2^m grid, as booleans.
 
@@ -78,7 +84,7 @@ class GeneralizedBooleanFunction:
     hash equal.  Instances are immutable.
     """
 
-    __slots__ = ("q", "n", "m", "terms", "constant")
+    __slots__ = ("q", "n", "m", "terms", "constant", "_masks")
 
     def __init__(self, q, n, m, terms=(), constant=0):
         q = require_even_q(q)
@@ -89,9 +95,9 @@ class GeneralizedBooleanFunction:
         merged: dict[tuple[int, ...], int] = {}
         for coeff, variables in terms:
             key = tuple(sorted({int(v) for v in variables}))
-            if key and not (key[0] >= 1 and key[-1] <= n + m):
-                bad = next(v for v in key if not 1 <= v <= n + m)
-                raise ValueError(f"variable z_{bad} outside 1..{n + m}")
+            for v in key:
+                if not 1 <= v <= n + m:
+                    raise ValueError(f"variable z_{v} outside 1..{n + m}")
             if not key:
                 const = (const + int(coeff)) % q
                 continue
@@ -102,6 +108,9 @@ class GeneralizedBooleanFunction:
         self.constant = const
         self.terms = tuple(
             (c, vs) for vs, c in sorted(merged.items()) if c
+        )
+        self._masks = tuple(
+            (sum(1 << (v - 1) for v in vs), c) for c, vs in self.terms
         )
 
     @property
@@ -119,9 +128,10 @@ class GeneralizedBooleanFunction:
         if not 0 <= i < (1 << self.m):
             raise ValueError(f"column index {i} outside 0..{(1 << self.m) - 1}")
         word = g | (i << self.n)
-        total = self.constant + sum(
-            coeff for coeff, vs in self.terms if all(word >> (v - 1) & 1 for v in vs)
-        )
+        total = self.constant
+        for mask, coeff in self._masks:
+            if word & mask == mask:
+                total += coeff
         return total % self.q
 
     def to_array(self) -> "QaryArray":
@@ -218,7 +228,8 @@ class QaryArray:
         """Wrap each entry of an int64 block of shape (N, L1, L2), without copying.
 
         The whole block is range-checked once and made read-only; every
-        array returned holds a read-only view of one entry.
+        array returned holds a read-only view of one entry, so each keeps
+        the whole block alive while it lives.
         """
         if block.dtype != np.int64:
             raise ValueError(f"block must be int64, got dtype {block.dtype}")

@@ -21,7 +21,7 @@ from math import factorial
 
 import numpy as np
 
-from .boolfunc import GeneralizedBooleanFunction, QaryArray, _bit_planes, require_even_q
+from .boolfunc import _BLOCK_POINTS, GeneralizedBooleanFunction, QaryArray, _bit_planes, require_even_q
 
 __all__ = [
     "GcapBasicSpec",
@@ -310,11 +310,6 @@ def count_general_gcaps(q, n, m) -> int:
     return _raw_spec_count(q, n, m) // 2
 
 
-# Most cells one block of the enumeration stream holds (one spec when a
-# single array is larger), so its memory stays bounded.
-_BLOCK_CELLS = 1 << 15
-
-
 def enumerate_general_gcaps(q, n, m, budget: int = DEFAULT_ENUM_BUDGET):
     """Yield every (spec, (c, d)) for the general pair construction, once each.
 
@@ -322,11 +317,11 @@ def enumerate_general_gcaps(q, n, m, budget: int = DEFAULT_ENUM_BUDGET):
     (n+m)! * q^(n+m+1) entries and must fit the budget.  Deduplicating the
     first arrays of the stream reproduces count_general_gcaps(q, n, m).
 
-    The arrays of one pi are built as blocks of at most _BLOCK_CELLS cells:
+    The arrays of one pi are built as blocks of at most _BLOCK_POINTS cells:
     the quadratic path array once, plus every linear part p . z + p0 at once
     as a matrix product with the bit planes of z_1..z_{n+m}.  Each block is
     range-checked once and made read-only, and the yielded arrays are views
-    into it.
+    into it, so a pair kept after the stream moves on keeps its block alive.
     """
     q = require_even_q(q)
     raw = _raw_spec_count(q, n, m)
@@ -345,7 +340,7 @@ def _general_pair_stream(q: int, n: int, m: int):
     shape = planes.shape[1:]
     flat = planes.reshape(n + m, -1)
     per_pi = q ** (n + m + 1)
-    step = max(1, _BLOCK_CELLS // flat.shape[1])
+    step = max(1, _BLOCK_POINTS // flat.shape[1])
     # Digit t of spec index k, most significant first: k in product order
     # of (p_1, ..., p_{n+m}, p0).
     powers = q ** np.arange(n + m, -1, -1, dtype=np.int64)

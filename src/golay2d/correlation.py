@@ -317,32 +317,29 @@ def fft_error_bound(P1: int, P2: int, q: int, cells: int) -> float:
     return cells ** 1.5 * (h + eps * (1 + h))
 
 
-def _count_tensor(q: int, c: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
-    """Exact counts[k, u1 + L1 - 1, u2 + L2 - 1, e] of xi^(c[k, g+u1, i+u2] - d[k, g, i]).
+def _count_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
+    """Exact counts[u1 + L1 - 1, u2 + L2 - 1, e] of xi^(c[g+u1, i+u2] - d[g, i]).
 
-    c and d are stacks of N arrays of shape (N, L1, L2); d defaults to c,
-    an autocorrelation, which reuses c's transforms.  One-hot FFT
-    correlation: the planes [c == a] and [d == b] of every array are
-    transformed once each, the spectrum of exponent e is
-    sum_b C_(b+e) conj(D_b), and one batch of inverse transforms gives every
-    count plane.  The floats are rounded only under a certificate: the
-    a-priori bound of fft_error_bound and the observed distance to the
-    nearest integers over the whole stack must both lie below 1/4, and
-    ArithmeticError is raised otherwise.  The result has shape
-    (N, 2*L1 - 1, 2*L2 - 1, q).
+    One-hot FFT correlation: the planes [c == a] and [d == b] are
+    transformed once each (an autocorrelation reuses c's transforms), the
+    spectrum of exponent e is sum_b C_(b+e) conj(D_b), and one batch of
+    inverse transforms gives every count plane.  The floats are rounded only
+    under a certificate: the a-priori bound of fft_error_bound and the
+    observed distance to the nearest integers must both lie below 1/4, and
+    ArithmeticError is raised otherwise.
     """
-    _, L1, L2 = c.shape
+    q, L1, L2 = c.q, c.L1, c.L2
     shape = (_transform_size(L1), _transform_size(L2))
     levels = np.arange(q)[:, None, None]
-    fc = np.fft.rfft2(c[:, None] == levels, s=shape)
-    fd = (fc if d is None else np.fft.rfft2(d[:, None] == levels, s=shape)).conj()
+    fc = np.fft.rfft2(c.entries == levels, s=shape)
+    fd = (fc if d is c else np.fft.rfft2(d.entries == levels, s=shape)).conj()
     spectra = np.stack([
-        np.einsum("kbij,kbij->kij", np.roll(fc, -e, axis=1), fd) for e in range(q)
-    ], axis=1)
+        np.einsum("bij,bij->ij", np.roll(fc, -e, axis=0), fd) for e in range(q)
+    ])
     planes = np.fft.irfft2(spectra, s=shape)
     rows = np.arange(1 - L1, L1) % shape[0]
     cols = np.arange(1 - L2, L2) % shape[1]
-    planes = planes[:, :, rows[:, None], cols[None, :]]
+    planes = planes[:, rows[:, None], cols[None, :]]
     counts = np.rint(planes)
     deviation = float(np.abs(planes - counts).max())
     bound = fft_error_bound(shape[0], shape[1], q, L1 * L2)
@@ -352,7 +349,7 @@ def _count_tensor(q: int, c: np.ndarray, d: np.ndarray | None = None) -> np.ndar
             f"bound {bound:.3g}, observed distance to integers {deviation:.3g}; "
             f"both must be below {_CERTIFIED}"
         )
-    return counts.astype(np.int64).transpose(0, 2, 3, 1)
+    return counts.astype(np.int64).transpose(1, 2, 0)
 
 
 class CorrelationTable:
@@ -423,13 +420,13 @@ class CorrelationTable:
 
 def auto_correlation_table(c: QaryArray) -> CorrelationTable:
     """Full autocorrelation table from one set of forward transforms of c."""
-    return CorrelationTable(c.q, c.L1, c.L2, _count_tensor(c.q, c.entries[None])[0])
+    return CorrelationTable(c.q, c.L1, c.L2, _count_tensor(c, c))
 
 
 def cross_correlation_table(c: QaryArray, d: QaryArray) -> CorrelationTable:
     """Full cross-correlation table, c shifted as in cross_correlation."""
     _require_compatible(c, d)
-    return CorrelationTable(c.q, c.L1, c.L2, _count_tensor(c.q, c.entries[None], d.entries[None])[0])
+    return CorrelationTable(c.q, c.L1, c.L2, _count_tensor(c, d))
 
 
 def correlation_sum(values, q: int | None = None) -> CorrelationValue:

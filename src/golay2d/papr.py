@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfunc import QaryArray, require_even_q
+from .boolfunc import _BLOCK_POINTS, QaryArray, require_even_q
 from .constructions import GcapBasicSpec, GcapGeneralSpec
 
 __all__ = [
@@ -49,8 +49,6 @@ DEFAULT_OVERSAMPLING = 256
 _REFINE_TOL = 1e-10
 # Samples per 1/L on the coarse subgrid that locates each row's best sample.
 _COARSE_OVERSAMPLING = 16
-# Most samples, or phase terms per refinement probe, held at once for a block of rows.
-_BLOCK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,7 @@ A set of arrays is complementary when its autocorrelations sum to zero at
 every nonzero shift and to N*L1*L2 at the origin; two complementary pairs
 are mates when their pairwise cross-correlations cancel at every shift, the
 origin included.  All decisions here are exact: sums of correlation values
-are tested for zero algebraically, never through floating point.  The
-brute-force oracle correlates all arrays of a size in batches of one count
-tensor each and joins them by their reduced tables.
+are tested for zero algebraically, never through floating point.
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ import numpy as np
 from .boolfunc import QaryArray, require_even_q
 from .correlation import (
     CorrelationValue,
-    _count_tensor,
-    _transform_size,
     auto_correlation_table,
     cross_correlation_table,
     reduction_matrix,
@@ -38,9 +34,6 @@ __all__ = [
 
 DEFAULT_MAX_VIOLATIONS = 16
 DEFAULT_PAIR_BUDGET = 1 << 26
-# Most transform points (arrays x q planes x padded cells) one batch of the
-# brute-force search holds, so its memory stays bounded.
-_CHUNK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -167,10 +160,7 @@ def brute_force_gcaps(q, L1, L2, budget: int = DEFAULT_PAIR_BUDGET):
     q^(2*L1*L2) ordered pairs were tested, so the budget (measured in pair
     evaluations) must cover that count.  The pair test is the check kernel's:
     the reduced tables of a and b sum to the expected centre, which holds
-    exactly when b's reduced table is the expected centre minus a's.  The
-    autocorrelation tables come from one batched count tensor per chunk of
-    at most _CHUNK_POINTS transform points (one array when a single array
-    needs more), under the same certificate as a single table.  Each
+    exactly when b's reduced table is the expected centre minus a's.  Each
     array's reduced table is keyed as bytes, so every a finds its partners
     by one lookup.
     """
@@ -186,18 +176,15 @@ def brute_force_gcaps(q, L1, L2, budget: int = DEFAULT_PAIR_BUDGET):
         )
     powers = q ** np.arange(L1 * L2 - 1, -1, -1, dtype=np.int64)
     digits = (np.arange(n_arrays, dtype=np.int64)[:, None] // powers) % q
-    blocks = digits.reshape(n_arrays, L1, L2)
-    arrays = QaryArray._stack(q, blocks)
-    matrix = reduction_matrix(q)
     expected = _expected_reduced(q, L1, L2, 2 * L1 * L2)
-    step = max(1, _CHUNK_POINTS // (q * _transform_size(L1) * _transform_size(L2)))
-    partners = []
+    arrays, partners = [], []
     by_table: dict[bytes, list[int]] = {}
-    for start in range(0, n_arrays, step):
-        reduced = _count_tensor(q, blocks[start:start + step]) @ matrix
-        for index, (table, partner) in enumerate(zip(reduced, expected - reduced), start):
-            by_table.setdefault(table.tobytes(), []).append(index)
-            partners.append(partner.tobytes())
+    for index, entries in enumerate(digits):
+        a = QaryArray(q, entries.reshape(L1, L2))
+        reduced = auto_correlation_table(a).reduced()
+        arrays.append(a)
+        by_table.setdefault(reduced.tobytes(), []).append(index)
+        partners.append((expected - reduced).tobytes())
     return [
         (arrays[ia], arrays[ib])
         for ia in range(n_arrays)

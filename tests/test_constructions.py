@@ -296,11 +296,11 @@ def test_enumeration_blocks_of_one_spec_give_the_same_stream(monkeypatch):
         (q, n, m): list(enumerate_general_gcaps(q, n, m))
         for q, n, m in ((2, 2, 2), (4, 1, 2), (6, 0, 2))
     }
-    assert blocks and all(a * b * c <= constructions._BLOCK_CELLS for a, b, c in blocks)
+    assert blocks and all(a * b * c <= constructions._BLOCK_POINTS for a, b, c in blocks)
     # 100 cells split each permutation's specs into uneven blocks; 1 cell
     # leaves one spec per block.
     for limit in (100, 1):
-        monkeypatch.setattr(constructions, "_BLOCK_CELLS", limit)
+        monkeypatch.setattr(constructions, "_BLOCK_POINTS", limit)
         for (q, n, m), stream in default.items():
             blocks.clear()
             assert list(enumerate_general_gcaps(q, n, m)) == stream

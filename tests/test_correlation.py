@@ -6,7 +6,6 @@ from golay2d import (
     CorrelationValue,
     QaryArray,
     auto_correlation_table,
-    brute_force_gcaps,
     construct_gcap_general,
     construct_mate,
     correlation_sum,
@@ -14,7 +13,7 @@ from golay2d import (
     cross_correlation_table,
     cyclotomic_polynomial,
 )
-from golay2d.correlation import _count_tensor, fft_error_bound, reduction_matrix
+from golay2d.correlation import fft_error_bound, reduction_matrix
 
 import golden
 from helpers import naive_cross_correlation, random_array
@@ -270,52 +269,3 @@ def test_table_views_sum_and_equality():
         CorrelationTable(4, 3, 4, tc.counts.astype(float))
     with pytest.raises(ValueError):
         tc.counts[0, 0, 0] = 5
-
-
-def _direct_counts(c, d, q):
-    """counts[u1 + L1 - 1, u2 + L2 - 1, e] of one pair by np.bincount at every shift."""
-    L1, L2 = c.shape
-    out = np.zeros((2 * L1 - 1, 2 * L2 - 1, q), dtype=np.int64)
-    for u1 in range(1 - L1, L1):
-        for u2 in range(1 - L2, L2):
-            g0, g1 = max(0, -u1), min(L1, L1 - u1)
-            i0, i1 = max(0, -u2), min(L2, L2 - u2)
-            diff = (c[g0 + u1:g1 + u1, i0 + u2:i1 + u2] - d[g0:g1, i0:i1]) % q
-            out[u1 + L1 - 1, u2 + L2 - 1] = np.bincount(diff.ravel(), minlength=q)
-    return out
-
-
-def test_batched_count_tensor_equals_per_array_and_bincount():
-    rng = np.random.default_rng(4048)
-    shapes = [(1, 1), (1, 9), (9, 1), (3, 7), (5, 6), (2, 4), (8, 8)]
-    shapes += [tuple(int(v) for v in rng.integers(1, 10, 2)) for _ in range(3)]
-    for q in TENSOR_QS:
-        for L1, L2 in shapes:
-            n = int(rng.integers(1, 6))
-            c = rng.integers(0, q, (n, L1, L2))
-            d = rng.integers(0, q, (n, L1, L2))
-            auto, cross = _count_tensor(q, c), _count_tensor(q, c, d)
-            assert auto.shape == cross.shape == (n, 2 * L1 - 1, 2 * L2 - 1, q)
-            for k in range(n):
-                assert np.array_equal(auto[k], _count_tensor(q, c[k:k + 1])[0])
-                assert np.array_equal(cross[k], _count_tensor(q, c[k:k + 1], d[k:k + 1])[0])
-                assert np.array_equal(auto[k], _direct_counts(c[k], c[k], q))
-                assert np.array_equal(cross[k], _direct_counts(c[k], d[k], q))
-
-
-def test_batched_uncertified_rounding_raises(monkeypatch):
-    stack = np.random.default_rng(3).integers(0, 4, (6, 3, 5))
-    inverse = np.fft.irfft2
-
-    def last_array_off(*args, **kwargs):
-        planes = inverse(*args, **kwargs)
-        planes[-1] += 0.3
-        return planes
-
-    # Off everywhere, and off only in the last array of the batch.
-    for patched in (lambda *args, **kwargs: inverse(*args, **kwargs) + 0.3, last_array_off):
-        monkeypatch.setattr(np.fft, "irfft2", patched)
-        with pytest.raises(ArithmeticError):
-            _count_tensor(4, stack)
-        with pytest.raises(ArithmeticError):
-            brute_force_gcaps(2, 2, 2)

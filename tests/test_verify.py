@@ -1,16 +1,11 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from golay2d import (
-    CorrelationTable,
     QaryArray,
-    auto_correlation_table,
     brute_force_gcaps,
     construct_gcap_general,
     construct_mate,
-    count_general_gcaps,
     enumerate_general_gcaps,
     gcs_1d,
     gdj_pair,
@@ -19,7 +14,6 @@ from golay2d import (
     is_gcs,
     is_mate,
 )
-from golay2d import verify
 
 import golden
 from helpers import random_general_spec
@@ -221,61 +215,3 @@ def test_brute_force_rejects_nonpositive_sizes():
         brute_force_gcaps(2, 0, 4)
     with pytest.raises(ValueError, match="L2"):
         brute_force_gcaps(2, 2, -1)
-
-
-def _pairs_by_single_tables(q, L1, L2):
-    """Every ordered pair whose autocorrelation tables, one per array, sum to the GCAP centre."""
-    arrays = [
-        QaryArray(q, np.array(cells).reshape(L1, L2))
-        for cells in itertools.product(range(q), repeat=L1 * L2)
-    ]
-    tables = [auto_correlation_table(a) for a in arrays]
-    centre = np.zeros((2 * L1 - 1, 2 * L2 - 1, q), dtype=np.int64)
-    centre[L1 - 1, L2 - 1, 0] = 2 * L1 * L2
-    expected = CorrelationTable(q, L1, L2, centre).reduced()
-    by_table = {}
-    for b, table in enumerate(tables):
-        by_table.setdefault(table.reduced().tobytes(), []).append(b)
-    pairs = []
-    for a, table in enumerate(tables):
-        partner = expected - table.reduced()
-        pairs += [(arrays[a], arrays[b]) for b in by_table.get(partner.tobytes(), ())]
-    return pairs
-
-
-def test_brute_force_matches_single_table_search():
-    for (q, L1, L2), count in {(2, 2, 4): 192, (4, 2, 2): 512, (6, 1, 3): 0, (2, 1, 4): 32}.items():
-        pairs = brute_force_gcaps(q, L1, L2)
-        assert len(pairs) == count
-        assert pairs == _pairs_by_single_tables(q, L1, L2)
-
-
-def test_brute_force_chunks_stay_within_limit(monkeypatch):
-    full = brute_force_gcaps(2, 2, 4)
-    forward = np.fft.rfft2
-    points = []
-
-    def recording_rfft2(planes, s, **kwargs):
-        points.append(planes.shape[0] * planes.shape[1] * s[0] * s[1])
-        return forward(planes, s=s, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft2", recording_rfft2)
-    assert brute_force_gcaps(2, 2, 4) == full
-    assert points and max(points) <= verify._CHUNK_POINTS
-    # 2x4 binary arrays take 2 planes of 4 x 8 transform points each.
-    for limit, chunks in ((1000, 18), (64, 256), (1, 256)):
-        monkeypatch.setattr(verify, "_CHUNK_POINTS", limit)
-        points.clear()
-        assert brute_force_gcaps(2, 2, 4) == full
-        assert len(points) == chunks and max(points) <= max(limit, 64)
-
-
-def test_census_4x4_binary():
-    # Every 4x4 binary GCAP's first array comes from the general construction,
-    # which reaches half of the ordered pairs.
-    oracle = brute_force_gcaps(2, 4, 4, budget=1 << 32)
-    constructed = {pair for _, pair in enumerate_general_gcaps(2, 2, 2)}
-    assert len(oracle) == 1536 and len(constructed) == 768
-    assert constructed <= set(oracle)
-    assert {c for c, _ in oracle} == {c for c, _ in constructed}
-    assert len({c for c, _ in oracle}) == count_general_gcaps(2, 2, 2) == 384

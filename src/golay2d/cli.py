@@ -19,6 +19,7 @@ import sys
 from . import __version__
 from . import formats
 from .constructions import (
+    DEFAULT_ENUM_BUDGET,
     _raw_spec_count,
     construct_gcap_basic,
     construct_gcap_general,
@@ -32,7 +33,15 @@ from .constructions import (
 )
 from .correlation import auto_correlation_table, cross_correlation_table
 from .papr import DEFAULT_OVERSAMPLING, papr_report
-from .verify import brute_force_gcaps, is_gcap, is_gcas, is_gcs, is_mate
+from .verify import (
+    DEFAULT_MAX_VIOLATIONS,
+    DEFAULT_PAIR_BUDGET,
+    brute_force_gcaps,
+    is_gcap,
+    is_gcas,
+    is_gcs,
+    is_mate,
+)
 
 OVERSAMPLE_ENV = "GOLAY2D_OVERSAMPLE"
 
@@ -223,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("gcap", "gcas", "mate", "gcs"))
     p.add_argument("files", nargs="+")
     p.add_argument("--q", type=int, default=None, help="alphabet for headerless CSV")
-    p.add_argument("--max-violations", type=int, default=16)
+    p.add_argument("--max-violations", type=int, default=DEFAULT_MAX_VIOLATIONS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("corr", help="export a correlation table")
@@ -247,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    p.add_argument("--budget", type=int, default=1 << 22)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--dump", default=None, help="write the stream as JSON lines")
     p.set_defaults(func=cmd_enumerate)
 
@@ -255,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
     p.add_argument("L1", type=int)
     p.add_argument("L2", type=int)
-    p.add_argument("--budget", type=int, default=1 << 26)
+    p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
     p.add_argument("--out", default=None, help="write pairs as JSON lines")
     p.set_defaults(func=cmd_search)
 

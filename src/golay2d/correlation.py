@@ -108,6 +108,25 @@ def _reduction_columns(q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(col) for col in reduction_matrix(q).T.tolist())
 
 
+def _complex_values(q: int, counts) -> np.ndarray:
+    """The complex values of an (..., q) array of count vectors, shape (...).
+
+    Bit for bit what CorrelationValue.to_complex gives for each vector: each
+    count is rounded to float64 once, multiplies the cmath root of its
+    exponent, and the terms are added in exponent order to sums that start
+    at +0.0.  Adding the zero terms a scalar sum would skip changes no bit:
+    x + 0 is x for nonzero x, and a sum that starts at +0.0 never becomes
+    -0.0.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    values = np.zeros(counts.shape[:-1], dtype=np.complex128)
+    for e in range(q):
+        root = cmath.exp(2j * cmath.pi * e / q)
+        values.real += counts[..., e] * root.real
+        values.imag += counts[..., e] * root.imag
+    return values
+
+
 def _reduce_counts(q: int, counts: tuple[int, ...]) -> tuple[int, ...]:
     """counts @ reduction_matrix(q) for one count vector, in plain Python ints."""
     return tuple(sum(c * r for c, r in zip(counts, col)) for col in _reduction_columns(q))
@@ -189,11 +208,8 @@ class CorrelationValue:
         return self.reduced[0]
 
     def to_complex(self) -> complex:
-        return sum(
-            c * cmath.exp(2j * cmath.pi * e / self.q)
-            for e, c in enumerate(self.counts)
-            if c
-        ) + 0j
+        """sum_e counts[e] * exp(2*pi*i*e/q) in float64, summed in exponent order."""
+        return complex(_complex_values(self.q, self.counts))
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .boolfunc import GeneralizedBooleanFunction, QaryArray
 from .constructions import GcapBasicSpec, GcapGeneralSpec, GcasSpec
-from .correlation import CorrelationTable, CorrelationValue, reduction_matrix
+from .correlation import CorrelationTable, CorrelationValue, _complex_values, reduction_matrix
 from .papr import PaprReport
 from .verify import VerificationResult
 
@@ -78,7 +78,7 @@ def function_from_json_dict(d: dict) -> GeneralizedBooleanFunction:
 
 def array_to_csv(arr: QaryArray) -> str:
     lines = [f"# q={arr.q}"]
-    lines += [",".join(str(int(x)) for x in row) for row in arr.entries]
+    lines += [",".join(map(str, row)) for row in arr.entries.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -120,7 +120,7 @@ def array_from_csv(text: str, q: int | None = None) -> QaryArray:
 
 
 def array_to_json_dict(arr: QaryArray) -> dict:
-    return {"q": arr.q, "entries": [[int(x) for x in row] for row in arr.entries]}
+    return {"q": arr.q, "entries": arr.entries.tolist()}
 
 
 def array_from_json_dict(d: dict) -> QaryArray:
@@ -158,18 +158,46 @@ _INT_CELL = re.compile(r"[+-]?\d+")
 _GAUSS_CELL = re.compile(r"([+-]?\d+)([+-]\d+)i")
 
 
+def _format_cells(q: int, counts: np.ndarray) -> list[str]:
+    """The cell text of each count vector of an (N, q) int64 array.
+
+    Which cells are Gaussian integers and which are real is decided for all
+    cells at once from the counts: a cell is the Gaussian integer a + b*i
+    nearest its complex value exactly when the reduced counts agree (when 4
+    does not divide q, sqrt(-1) is no exponent and only b = 0 can), and it is
+    real exactly when its reduced counts equal those of its conjugate, whose
+    exponents are e -> -e mod q.  The complex values come from one
+    vectorised pass in to_complex's summation order.
+    """
+    reduction = reduction_matrix(q)
+    reduced = counts @ reduction
+    z = _complex_values(q, counts)
+    a = np.rint(z.real).astype(np.int64)
+    b = np.rint(z.imag).astype(np.int64)
+    nearest = np.outer(a, reduction[0])
+    if q % 4 == 0:
+        nearest += np.outer(b, reduction[q // 4])
+    gaussian = (reduced == nearest).all(axis=1) & ((b == 0) | (q % 4 == 0))
+    real = (reduced == counts[:, -np.arange(q) % q] @ reduction).all(axis=1)
+    cells = []
+    for ak, bk, zk, is_gaussian, is_real in zip(
+        a.tolist(), b.tolist(), z.tolist(), gaussian.tolist(), real.tolist()
+    ):
+        if is_gaussian:
+            cells.append(str(ak) if bk == 0 else f"{ak}{bk:+d}i")
+        elif is_real:
+            cells.append(f"{zk.real:.12g}")
+        else:
+            cells.append(f"{zk.real:.12g}{zk.imag:+.12g}i")
+    return cells
+
+
 def format_correlation_value(v: CorrelationValue) -> str:
-    z = v.to_complex()
-    a, b = round(z.real), round(z.imag)
-    try:
-        exact = v == CorrelationValue.from_gaussian(a, b, v.q)
-    except ValueError:
-        exact = False
-    if exact:
-        return str(a) if b == 0 else f"{a}{b:+d}i"
-    if v == v.conjugate():
-        return f"{z.real:.12g}"
-    return f"{z.real:.12g}{z.imag:+.12g}i"
+    """An integer, an exact 'a+bi', or 12-digit floats; see the module docstring.
+
+    The counts of v must fit in int64, as those of every table do.
+    """
+    return _format_cells(v.q, np.array([v.counts], dtype=np.int64))[0]
 
 
 def parse_correlation_value(cell: str, q: int) -> CorrelationValue:
@@ -186,36 +214,10 @@ def parse_correlation_value(cell: str, q: int) -> CorrelationValue:
 
 
 def correlation_table_to_csv(table: CorrelationTable) -> str:
-    """The table as CSV, each cell formatted as format_correlation_value would.
-
-    Which cells are Gaussian integers and which are real is decided for all
-    cells at once from the count tensor: a cell is the Gaussian integer
-    a + b*i (b = 0 unless 4 divides q) nearest its complex value exactly when
-    the reduced counts agree, and it is real exactly when its reduced counts
-    equal those of its conjugate, whose exponents are e -> -e mod q.  Only the
-    remaining cells build a CorrelationValue for their float digits.
-    """
-    q = table.q
-    counts = table.counts.reshape(-1, q)
-    reduction = reduction_matrix(q)
-    reduced = counts @ reduction
-    z = counts @ np.exp(2j * np.pi * np.arange(q) / q)
-    a = np.rint(z.real).astype(np.int64)
-    b = np.rint(z.imag).astype(np.int64) if q % 4 == 0 else np.zeros_like(a)
-    nearest = np.outer(a, reduction[0]) + np.outer(b, reduction[q // 4])
-    gaussian = (reduced == nearest).all(axis=1)
-    real = (reduced == counts[:, -np.arange(q) % q] @ reduction).all(axis=1)
-    cells = []
-    for k, (ak, bk, is_gaussian, is_real) in enumerate(
-        zip(a.tolist(), b.tolist(), gaussian.tolist(), real.tolist())
-    ):
-        if is_gaussian:
-            cells.append(str(ak) if bk == 0 else f"{ak}{bk:+d}i")
-            continue
-        zk = CorrelationValue(q, counts[k].tolist()).to_complex()
-        cells.append(f"{zk.real:.12g}" if is_real else f"{zk.real:.12g}{zk.imag:+.12g}i")
+    """The table as CSV, each cell formatted as format_correlation_value would."""
+    cells = _format_cells(table.q, table.counts.reshape(-1, table.q))
     width = 2 * table.L2 - 1
-    lines = [f"# q={q} L1={table.L1} L2={table.L2}"]
+    lines = [f"# q={table.q} L1={table.L1} L2={table.L2}"]
     lines += [",".join(cells[k:k + width]) for k in range(0, len(cells), width)]
     return "\n".join(lines) + "\n"
 

@@ -16,6 +16,7 @@ import numpy as np
 from .boolfunc import QaryArray, require_even_q
 from .correlation import (
     CorrelationValue,
+    _complex_values,
     auto_correlation_table,
     cross_correlation_table,
     reduction_matrix,
@@ -87,16 +88,16 @@ def _check_sum(tables, expected_center, max_violations, notes=()):
     q, L1, L2 = total.q, total.L1, total.L2
     bad = (total.reduced() != _expected_reduced(q, L1, L2, expected_center)).any(axis=-1)
     found = np.flatnonzero(bad)
-    violations = []
-    for flat in found[:max_violations].tolist():
-        i, j = divmod(flat, 2 * L2 - 1)
-        shift = (i - (L1 - 1), j - (L2 - 1))
-        violations.append((shift, total.value(*shift).to_complex()))
+    kept = found[:max_violations]
+    u1 = (kept // (2 * L2 - 1) - (L1 - 1)).tolist()
+    u2 = (kept % (2 * L2 - 1) - (L2 - 1)).tolist()
+    values = _complex_values(q, total.counts.reshape(-1, q)[kept]).tolist()
+    violations = tuple(zip(zip(u1, u2), values))
     truncated = len(found) > max_violations
     center = total.value(0, 0)
     passed = not violations and not truncated and not notes
     return VerificationResult(
-        passed, tuple(violations), center, expected_center, truncated, tuple(notes)
+        passed, violations, center, expected_center, truncated, tuple(notes)
     )
 
 
@@ -144,9 +145,9 @@ def is_mate(pair1, pair2, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Verif
     c2, d2 = pair2
     _require_uniform([c, d, c2, d2])
     notes = []
-    if not is_gcap(c, d, max_violations).passed:
+    if not is_gcap(c, d, max_violations=0).passed:
         notes.append("first pair fails the complementary-pair condition")
-    if not is_gcap(c2, d2, max_violations).passed:
+    if not is_gcap(c2, d2, max_violations=0).passed:
         notes.append("second pair fails the complementary-pair condition")
     tables = [cross_correlation_table(c, c2), cross_correlation_table(d, d2)]
     return _check_sum(tables, 0, max_violations, notes)

@@ -1,8 +1,8 @@
-"""Shared helpers: seeded random spec generators and a naive correlation oracle."""
+"""Shared helpers: seeded random spec generators, a naive correlation oracle and a value counter."""
 
 import numpy as np
 
-from golay2d import GcapBasicSpec, GcapGeneralSpec, GcasSpec, QaryArray
+from golay2d import CorrelationValue, GcapBasicSpec, GcapGeneralSpec, GcasSpec, QaryArray
 
 Q_CHOICES = (2, 4, 8)
 N_CHOICES = (1, 2)
@@ -61,3 +61,16 @@ def naive_cross_correlation(c: QaryArray, d: QaryArray, u1: int, u2: int) -> com
             if 0 <= gg < c.L1 and 0 <= ii < c.L2:
                 total += zc[gg, ii] * np.conj(zd[g, i])
     return total
+
+
+def count_value_inits(monkeypatch) -> list:
+    """A list that gains one entry per CorrelationValue built from now on."""
+    calls = []
+    original = CorrelationValue.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CorrelationValue, "__init__", counting)
+    return calls

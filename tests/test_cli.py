@@ -5,7 +5,9 @@ import pytest
 
 from golay2d import QaryArray, construct_gcap_general, construct_mate
 from golay2d import formats
-from golay2d.cli import main
+from golay2d.cli import build_parser, main
+from golay2d.constructions import DEFAULT_ENUM_BUDGET
+from golay2d.verify import DEFAULT_MAX_VIOLATIONS, DEFAULT_PAIR_BUDGET
 
 import golden
 
@@ -290,3 +292,10 @@ def test_papr_low_oversample_and_odd_q_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "even" in _one_line_error(captured.err)
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    assert parser.parse_args(["verify", "gcap", "c.csv", "d.csv"]).max_violations == DEFAULT_MAX_VIOLATIONS
+    assert parser.parse_args(["enumerate", "2", "1", "1"]).budget == DEFAULT_ENUM_BUDGET
+    assert parser.parse_args(["search", "2", "1", "2"]).budget == DEFAULT_PAIR_BUDGET

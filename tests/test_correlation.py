@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from golay2d import (
     cross_correlation_table,
     cyclotomic_polynomial,
 )
-from golay2d.correlation import fft_error_bound, reduction_matrix
+from golay2d.correlation import _complex_values, fft_error_bound, reduction_matrix
 
 import golden
 from helpers import naive_cross_correlation, random_array
@@ -269,3 +271,38 @@ def test_table_views_sum_and_equality():
         CorrelationTable(4, 3, 4, tc.counts.astype(float))
     with pytest.raises(ValueError):
         tc.counts[0, 0, 0] = 5
+
+
+def _scalar_complex(q, counts) -> complex:
+    """The per-value reference: one cmath root and one Python sum term per nonzero count."""
+    return sum(
+        c * cmath.exp(2j * cmath.pi * e / q) for e, c in enumerate(counts) if c
+    ) + 0j
+
+
+def _bits(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.complex128)
+    return np.stack([values.real, values.imag]).view(np.int64)
+
+
+def test_complex_values_equal_the_scalar_sum_bit_for_bit():
+    rng = np.random.default_rng(131)
+    for q in (2, 4, 6, 8, 12):
+        rows = np.concatenate([
+            np.zeros((3, q), dtype=np.int64),
+            rng.integers(-6, 7, (300, q)),
+            rng.integers(-(1 << 40), 1 << 40, (60, q)),
+            rng.integers(-(1 << 62), 1 << 62, (30, q)),
+        ])
+        rows[rng.random(rows.shape) < 0.3] = 0
+        got = _complex_values(q, rows)
+        scalar = [_scalar_complex(q, row) for row in rows.tolist()]
+        per_value = [CorrelationValue(q, row).to_complex() for row in rows.tolist()]
+        assert np.array_equal(_bits(got), _bits(scalar))
+        assert np.array_equal(_bits(per_value), _bits(scalar))
+        # the leading axes are only a batch: any shape, the empty one included
+        grid = _complex_values(q, rows[:300].reshape(10, 30, q))
+        assert np.array_equal(_bits(grid.ravel()), _bits(got[:300]))
+        assert _complex_values(q, np.zeros((0, 5, q), dtype=np.int64)).shape == (0, 5)
+        zero = CorrelationValue.zero(q).to_complex()
+        assert type(zero) is complex and _bits([zero]).tolist() == [[0], [0]]

@@ -20,7 +20,7 @@ from golay2d import (
 from golay2d import formats
 
 import golden
-from helpers import random_array
+from helpers import count_value_inits, random_array
 
 
 def test_function_json_round_trip():
@@ -215,3 +215,15 @@ def test_table_csv_matches_per_cell_formatting():
                 CorrelationTable(q, L1, L2, noise),
             ):
                 assert formats.correlation_table_to_csv(table) == _per_cell_csv(table)
+
+
+def test_csv_export_builds_no_values(monkeypatch):
+    rng = np.random.default_rng(47)
+    c = QaryArray(8, rng.integers(0, 8, (7, 9)))
+    d = QaryArray(8, rng.integers(0, 8, (7, 9)))
+    tables = [auto_correlation_table(c), cross_correlation_table(c, d)]
+    calls = count_value_inits(monkeypatch)
+    texts = [formats.correlation_table_to_csv(table) for table in tables]
+    assert calls == []
+    assert any("i" in cell for cell in texts[1].split(",")), "no non-Gaussian cell"
+

@@ -3,9 +3,12 @@ import pytest
 
 from golay2d import (
     QaryArray,
+    auto_correlation_table,
     brute_force_gcaps,
     construct_gcap_general,
+    construct_gcas,
     construct_mate,
+    cross_correlation_table,
     enumerate_general_gcaps,
     gcs_1d,
     gdj_pair,
@@ -14,9 +17,10 @@ from golay2d import (
     is_gcs,
     is_mate,
 )
+from golay2d import verify
 
 import golden
-from helpers import random_general_spec
+from helpers import count_value_inits, random_gcas_spec, random_general_spec
 
 
 def test_is_gcs_on_sequence_pair():
@@ -215,3 +219,102 @@ def test_brute_force_rejects_nonpositive_sizes():
         brute_force_gcaps(2, 0, 4)
     with pytest.raises(ValueError, match="L2"):
         brute_force_gcaps(2, 2, -1)
+
+
+def _corner_mutated(arr):
+    entries = arr.entries.copy()
+    entries[0, 0] = (entries[0, 0] + 1) % arr.q
+    return QaryArray(arr.q, entries)
+
+
+def _mutated_checks(rng):
+    """(check, summed table, expected centre) for mutated pairs, sets and mates."""
+    for q, n, m in ((2, 1, 2), (4, 2, 1), (6, 1, 1), (8, 1, 2), (12, 0, 2)):
+        spec = random_general_spec(rng, q=q, n=n, m=m)
+        c, d = construct_gcap_general(spec)
+        cp, dp = construct_mate(spec)
+        bad = _corner_mutated(c)
+        size = c.L1 * c.L2
+        yield (
+            lambda cap, bad=bad, d=d: is_gcap(bad, d, cap),
+            auto_correlation_table(bad) + auto_correlation_table(d),
+            2 * size,
+        )
+        yield (
+            lambda cap, bad=bad, d=d, cp=cp, dp=dp: is_mate((bad, d), (cp, dp), cap),
+            cross_correlation_table(bad, cp) + cross_correlation_table(d, dp),
+            0,
+        )
+    for q in (2, 4, 8):
+        arrays = construct_gcas(random_gcas_spec(rng, q=q, n=1, m=2))
+        arrays = [_corner_mutated(arrays[0])] + list(arrays[1:])
+        total = auto_correlation_table(arrays[0])
+        for a in arrays[1:]:
+            total = total + auto_correlation_table(a)
+        yield (
+            lambda cap, arrays=arrays: is_gcas(arrays, cap),
+            total,
+            len(arrays) * arrays[0].L1 * arrays[0].L2,
+        )
+
+
+def test_violation_values_equal_the_per_shift_values():
+    rng = np.random.default_rng(29)
+    for check, total, expected in _mutated_checks(rng):
+        wrong = [
+            shift for shift in total.shifts()
+            if total.value(*shift) != (expected if shift == (0, 0) else 0)
+        ]
+        assert wrong
+        for cap in (0, 1, 3, len(wrong)):
+            result = check(cap)
+            assert [shift for shift, _ in result.violations] == wrong[:cap]
+            assert result.truncated == (len(wrong) > cap) and not result.passed
+            for shift, value in result.violations:
+                reference = total.value(*shift).to_complex()
+                assert type(value) is complex
+                assert (np.array([value.real, value.imag]).view(np.int64).tolist()
+                        == np.array([reference.real, reference.imag]).view(np.int64).tolist())
+
+
+def test_mate_preconditions_request_no_violations(monkeypatch):
+    spec = golden.general_q2_spec()
+    c, d = construct_gcap_general(spec)
+    cp, dp = construct_mate(spec)
+    bad = _corner_mutated(c)
+    every = (2 * c.L1 - 1) * (2 * c.L2 - 1)
+    expected = _check_reference(bad, d, cp, dp, every)
+    rows = []
+    original = verify._complex_values
+
+    def recording(q, counts):
+        rows.append(len(counts))
+        return original(q, counts)
+
+    monkeypatch.setattr(verify, "_complex_values", recording)
+    result = is_mate((bad, d), (cp, dp), max_violations=every)
+    assert rows[:2] == [0, 0] and len(rows) == 3
+    assert not result.passed
+    assert result.notes == ("first pair fails the complementary-pair condition",)
+    assert (result.violations, result.truncated) == expected
+
+
+def _check_reference(c, d, c2, d2, cap):
+    """The mate check's violations and truncation from per-shift values."""
+    total = cross_correlation_table(c, c2) + cross_correlation_table(d, d2)
+    wrong = [shift for shift in total.shifts() if not total.value(*shift).is_zero()]
+    violations = tuple((shift, total.value(*shift).to_complex()) for shift in wrong[:cap])
+    return violations, len(wrong) > cap
+
+
+def test_failing_check_builds_only_the_centre_value(monkeypatch):
+    from golay2d import formats
+
+    # every autocorrelation of a constant array is positive, so the pair
+    # check fails at every shift but the origin
+    c = QaryArray(8, np.zeros((5, 6), dtype=np.int64))
+    calls = count_value_inits(monkeypatch)
+    result = is_gcap(c, c, max_violations=10_000)
+    assert len(result.violations) == 9 * 11 - 1
+    formats.verification_to_json_dict(result)
+    assert len(calls) == 1

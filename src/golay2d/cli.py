@@ -18,6 +18,7 @@ import sys
 
 from . import __version__
 from . import formats
+# gdj_pair and gcs_1d are unused here but stay bound: bench/tracing.py wraps them by name.
 from .constructions import (
     DEFAULT_ENUM_BUDGET,
     _raw_spec_count,
@@ -72,19 +73,17 @@ def _emit(text: str, out_path=None):
 def cmd_gen(args) -> int:
     spec_dict = _load_json(args.spec)
     parsed = formats.parse_construction_spec(args.kind, spec_dict)
-    if args.kind in ("gcap-basic",):
-        outputs = list(zip(("c", "d"), construct_gcap_basic(parsed)))
-    elif args.kind == "gcap-general":
-        outputs = list(zip(("c", "d"), construct_gcap_general(parsed)))
-    elif args.kind == "mate":
-        outputs = list(zip(("cprime", "dprime"), construct_mate(parsed)))
-    elif args.kind == "gcas":
-        arrays = construct_gcas(parsed)
-        outputs = [(str(t), a) for t, a in enumerate(arrays)]
-    elif args.kind == "gdj":
-        outputs = list(zip(("a", "b"), gdj_pair(**parsed)))
-    else:
-        outputs = [(str(t), a) for t, a in enumerate(gcs_1d(**parsed))]
+    # Built per call, so that names patched on this module are the ones called.
+    names, build = {
+        "gcap-basic": (("c", "d"), construct_gcap_basic),
+        "gcap-general": (("c", "d"), construct_gcap_general),
+        "mate": (("cprime", "dprime"), construct_mate),
+        "gcas": (None, construct_gcas),
+        "gdj": (("a", "b"), construct_gcap_general),
+        "gcs1d": (None, construct_gcas),
+    }[args.kind]
+    arrays = build(parsed)
+    outputs = list(zip(names or map(str, range(len(arrays))), arrays))
 
     ext = args.format
     paths = []
@@ -144,8 +143,8 @@ def cmd_papr(args) -> int:
     spec = None
     if args.spec:
         spec_dict = _load_json(args.spec)
-        kind = "gcap-basic" if "pi1" in spec_dict else "gcap-general"
-        spec = formats.parse_construction_spec(kind, spec_dict)
+        basic = isinstance(spec_dict, dict) and "pi1" in spec_dict
+        spec = formats.parse_construction_spec("gcap-basic" if basic else "gcap-general", spec_dict)
     oversampling = args.oversample if args.oversample is not None else _default_oversampling()
     report = papr_report(arr, spec=spec, oversampling=oversampling)
     if args.json:

@@ -1,11 +1,16 @@
 """Direct constructions of complementary array pairs, mates, and sets.
 
-Every construction here assembles a quadratic generalized Boolean function
-whose degree-2 monomials trace a path (or several vertex-disjoint paths)
-through the variables z_1..z_{n+m}, with weight q/2 on each edge, plus
-arbitrary linear terms and a constant.  Companion arrays are obtained by
-adding q/2 offsets on path endpoints.  Permutations use 1-indexed one-line
-notation: pi = (3, 4, 2, 1, 5) means pi(1) = 3.
+Every construction follows one rule.  A quadratic generalized Boolean
+function f traces one path (or several vertex-disjoint paths) through the
+variables z_1..z_{n+m}, with weight q/2 on each edge, plus arbitrary linear
+terms and a constant.  The members are f + (q/2) * sum(z_s for s in S) for
+every subset S of the path-start variables, which are z_pi(1) for a pair and
+the first variable of each block for a set.  A mate applies the same rule to
+f + (q/2) z_pi(n+m).  The 1-D Golay-Davis-Jedwab pair and set are the n = 0
+case, and a basic pair is a general pair whose path walks the column
+variables x first and the row variables y second (basic_as_general_spec).
+Permutations use 1-indexed one-line notation: pi = (3, 4, 2, 1, 5) means
+pi(1) = 3.
 
 The exhaustive stream of the general pair construction evaluates no
 function per spec: the linear part and constant only add a fixed
@@ -16,6 +21,8 @@ comes from one block of integer arithmetic.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import factorial
 
@@ -33,10 +40,8 @@ __all__ = [
     "construct_gcap_general",
     "construct_mate",
     "construct_gcas",
-    "basic_gcap_function",
     "general_gcap_function",
     "gcas_function",
-    "gcas_offsets",
     "count_general_gcaps",
     "enumerate_general_gcaps",
     "basic_as_general_spec",
@@ -46,8 +51,44 @@ __all__ = [
 DEFAULT_ENUM_BUDGET = 1 << 22
 
 
+def _int(value, name: str) -> int:
+    """value as an int: Python and numpy integers pass; bool, float and str do not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _is_sequence(values) -> bool:
+    """Whether values is a list, tuple or array; a string is not."""
+    return isinstance(values, (tuple, list)) or (
+        isinstance(values, (np.ndarray, Sequence)) and not isinstance(values, (str, bytes)))
+
+
+def _ints(values, name: str) -> tuple[int, ...]:
+    """values as a tuple of ints, from a sequence of Python or numpy integers."""
+    if _is_sequence(values) and bool not in map(type, values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a list of integers, got {values!r}")
+
+
+def _check_sizes(q, n, m, what: str, least: int):
+    """Validated (q, n, m) of a spec; n and m are at least `least`, n + m at least 2."""
+    q = require_even_q(_int(q, "q"))
+    n, m = _int(n, "n"), _int(m, "m")
+    if n < least or m < least or n + m < 2:
+        bound = "n >= 1 and m >= 1" if least else "n + m >= 2"
+        raise ValueError(f"the {what} construction needs {bound}")
+    return q, n, m
+
+
 def _check_permutation(pi, size: int, name: str):
-    pi = tuple(int(v) for v in pi)
+    pi = _ints(pi, name)
     if sorted(pi) != list(range(1, size + 1)):
         raise ValueError(f"{name} must be a permutation of 1..{size}, got {pi}")
     return pi
@@ -56,14 +97,16 @@ def _check_permutation(pi, size: int, name: str):
 def _check_coeffs(p, size: int, q: int, name: str):
     if p is None:
         return (0,) * size
-    p = tuple(int(v) % q for v in p)
+    p = tuple(map(q.__rmod__, _ints(p, name)))
     if len(p) != size:
         raise ValueError(f"{name} must have length {size}, got {len(p)}")
     return p
 
 
 def _check_blocks(blocks, size: int):
-    blocks = tuple(tuple(int(v) for v in b) for b in blocks)
+    if not _is_sequence(blocks):
+        raise ValueError(f"blocks must be a list of index lists, got {blocks!r}")
+    blocks = tuple(_ints(b, f"blocks[{k}]") for k, b in enumerate(blocks))
     if not blocks or any(not b for b in blocks):
         raise ValueError("blocks must be a nonempty list of nonempty index lists")
     flat = [v for b in blocks for v in b]
@@ -91,15 +134,12 @@ class GcapBasicSpec:
     p0: int = 0
 
     def __post_init__(self):
-        q = require_even_q(self.q)
-        if self.n < 1 or self.m < 1:
-            raise ValueError("the basic pair construction needs n >= 1 and m >= 1")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "pi1", _check_permutation(self.pi1, self.m, "pi1"))
-        object.__setattr__(self, "pi2", _check_permutation(self.pi2, self.n, "pi2"))
-        object.__setattr__(self, "p", _check_coeffs(self.p, self.m, q, "p"))
-        object.__setattr__(self, "lam", _check_coeffs(self.lam, self.n, q, "lam"))
-        object.__setattr__(self, "p0", int(self.p0) % q)
+        q, n, m = _check_sizes(self.q, self.n, self.m, "basic pair", 1)
+        # Frozen: the validated fields go straight into the instance dict.
+        self.__dict__.update(
+            q=q, n=n, m=m, pi1=_check_permutation(self.pi1, m, "pi1"),
+            pi2=_check_permutation(self.pi2, n, "pi2"), p=_check_coeffs(self.p, m, q, "p"),
+            lam=_check_coeffs(self.lam, n, q, "lambda"), p0=_int(self.p0, "p0") % q)
 
 
 @dataclass(frozen=True)
@@ -117,13 +157,10 @@ class GcapGeneralSpec:
     p0: int = 0
 
     def __post_init__(self):
-        q = require_even_q(self.q)
-        if self.n < 0 or self.m < 0 or self.n + self.m < 2:
-            raise ValueError("the general pair construction needs n + m >= 2")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "pi", _check_permutation(self.pi, self.n + self.m, "pi"))
-        object.__setattr__(self, "p", _check_coeffs(self.p, self.n + self.m, q, "p"))
-        object.__setattr__(self, "p0", int(self.p0) % q)
+        q, n, m = _check_sizes(self.q, self.n, self.m, "general pair", 0)
+        self.__dict__.update(
+            q=q, n=n, m=m, pi=_check_permutation(self.pi, n + m, "pi"),
+            p=_check_coeffs(self.p, n + m, q, "p"), p0=_int(self.p0, "p0") % q)
 
 
 @dataclass(frozen=True)
@@ -143,102 +180,64 @@ class GcasSpec:
     p0: int = 0
 
     def __post_init__(self):
-        q = require_even_q(self.q)
-        if self.n < 0 or self.m < 0 or self.n + self.m < 2:
-            raise ValueError("the set construction needs n + m >= 2")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "blocks", _check_blocks(self.blocks, self.n + self.m))
-        object.__setattr__(self, "p", _check_coeffs(self.p, self.n + self.m, q, "p"))
-        object.__setattr__(self, "p0", int(self.p0) % q)
+        q, n, m = _check_sizes(self.q, self.n, self.m, "set", 0)
+        self.__dict__.update(
+            q=q, n=n, m=m, blocks=_check_blocks(self.blocks, n + m),
+            p=_check_coeffs(self.p, n + m, q, "p"), p0=_int(self.p0, "p0") % q)
 
     @property
     def k(self) -> int:
         return len(self.blocks)
 
 
-def _path_terms(path, half: int):
-    return [(half, (path[l], path[l + 1])) for l in range(len(path) - 1)]
+def _path_function(spec, paths) -> GeneralizedBooleanFunction:
+    """spec's linear part and constant plus a q/2 edge between neighbours on each path."""
+    half = spec.q // 2
+    terms = [(half, (path[l], path[l + 1])) for path in paths for l in range(len(path) - 1)]
+    terms += [(coeff, (l,)) for l, coeff in enumerate(spec.p, start=1) if coeff]
+    return GeneralizedBooleanFunction(spec.q, spec.n, spec.m, terms, constant=spec.p0)
 
 
-def _linear_terms(p):
-    return [(coeff, (l,)) for l, coeff in enumerate(p, start=1) if coeff]
+def _members(f: GeneralizedBooleanFunction, starts):
+    """The arrays f + (q/2) * sum of a subset of the start variables, for every subset.
 
-
-def gdj_pair(q, m, pi, p=None, p0=0):
-    """Length-2^m complementary sequence pair from a quadratic path function.
-
-    Returns two single-row arrays (f, f + (q/2) x_{pi(1)}); needs m >= 2.
+    Member t switches on starts[alpha] for every bit alpha set in t, so the
+    first start varies fastest.
     """
-    q = require_even_q(q)
-    if m < 2:
-        raise ValueError("the sequence pair construction needs m >= 2")
-    pi = _check_permutation(pi, m, "pi")
-    p = _check_coeffs(p, m, q, "p")
-    half = q // 2
-    f = GeneralizedBooleanFunction(
-        q, 0, m, _path_terms(pi, half) + _linear_terms(p), constant=p0
-    )
-    return f.to_array(), f.add_term(half, (pi[0],)).to_array()
-
-
-def gcs_1d(q, m, blocks, p=None, p0=0):
-    """Set of 2^k length-2^m sequences whose autocorrelations sum to zero.
-
-    blocks is an ordered partition of {1..m} into k paths.  The 2^k offset
-    combinations are emitted with the selector of blocks[0] varying fastest.
-    """
-    q = require_even_q(q)
-    if m < 2:
-        raise ValueError("the sequence set construction needs m >= 2")
-    blocks = _check_blocks(blocks, m)
-    p = _check_coeffs(p, m, q, "p")
-    half = q // 2
-    terms = []
-    for block in blocks:
-        terms += _path_terms(block, half)
-    f = GeneralizedBooleanFunction(q, 0, m, terms + _linear_terms(p), constant=p0)
+    half = f.q // 2
     out = []
-    for t in range(1 << len(blocks)):
+    for t in range(1 << len(starts)):
         g = f
-        for alpha, block in enumerate(blocks):
+        for alpha, s in enumerate(starts):
             if (t >> alpha) & 1:
-                g = g.add_term(half, (block[0],))
+                g = g.add_term(half, (s,))
         out.append(g.to_array())
     return tuple(out)
 
 
-def basic_gcap_function(spec: GcapBasicSpec) -> GeneralizedBooleanFunction:
-    """First array's function: x path, y path, and the x-end to y-start link."""
-    q, n, m = spec.q, spec.n, spec.m
-    half = q // 2
-    x = tuple(n + v for v in spec.pi1)
-    y = spec.pi2
-    terms = _path_terms(x, half) + _path_terms(y, half)
-    terms.append((half, (x[-1], y[0])))
-    terms += [(coeff, (n + l,)) for l, coeff in enumerate(spec.p, start=1) if coeff]
-    terms += [(coeff, (s,)) for s, coeff in enumerate(spec.lam, start=1) if coeff]
-    return GeneralizedBooleanFunction(q, n, m, terms, constant=spec.p0)
+def gdj_pair(q, m, pi, p=None, p0=0):
+    """Length-2^m complementary sequence pair: the general pair with n = 0."""
+    return construct_gcap_general(GcapGeneralSpec(q, 0, m, pi, p, p0))
+
+
+def gcs_1d(q, m, blocks, p=None, p0=0):
+    """Set of 2^k length-2^m sequences: the set construction with n = 0."""
+    return construct_gcas(GcasSpec(q, 0, m, blocks, p, p0))
 
 
 def construct_gcap_basic(spec: GcapBasicSpec):
     """Complementary 2^n x 2^m array pair (f, f + (q/2) x_{pi1(1)})."""
-    f = basic_gcap_function(spec)
-    d = f.add_term(spec.q // 2, (spec.n + spec.pi1[0],))
-    return f.to_array(), d.to_array()
+    return construct_gcap_general(basic_as_general_spec(spec))
 
 
 def general_gcap_function(spec: GcapGeneralSpec) -> GeneralizedBooleanFunction:
     """First array's function: one path through all of z_1..z_{n+m}."""
-    half = spec.q // 2
-    terms = _path_terms(spec.pi, half) + _linear_terms(spec.p)
-    return GeneralizedBooleanFunction(spec.q, spec.n, spec.m, terms, constant=spec.p0)
+    return _path_function(spec, (spec.pi,))
 
 
 def construct_gcap_general(spec: GcapGeneralSpec):
     """Complementary 2^n x 2^m array pair (f, f + (q/2) z_{pi(1)})."""
-    f = general_gcap_function(spec)
-    d = f.add_term(spec.q // 2, (spec.pi[0],))
-    return f.to_array(), d.to_array()
+    return _members(general_gcap_function(spec), spec.pi[:1])
 
 
 def construct_mate(spec: GcapGeneralSpec):
@@ -248,28 +247,13 @@ def construct_mate(spec: GcapGeneralSpec):
     the returned pair is itself complementary and is a mate of
     construct_gcap_general(spec).
     """
-    half = spec.q // 2
     f = general_gcap_function(spec)
-    c_mate = f.add_term(half, (spec.pi[-1],))
-    d_mate = c_mate.add_term(half, (spec.pi[0],))
-    return c_mate.to_array(), d_mate.to_array()
+    return _members(f.add_term(spec.q // 2, (spec.pi[-1],)), spec.pi[:1])
 
 
 def gcas_function(spec: GcasSpec) -> GeneralizedBooleanFunction:
     """Base function of the set: one quadratic path per block plus linear part."""
-    half = spec.q // 2
-    terms = []
-    for block in spec.blocks:
-        terms += _path_terms(block, half)
-    terms += _linear_terms(spec.p)
-    return GeneralizedBooleanFunction(spec.q, spec.n, spec.m, terms, constant=spec.p0)
-
-
-def gcas_offsets(spec: GcasSpec, t: int):
-    """Offset variables switched on for the t-th member (selector of block 1 is bit 0)."""
-    return tuple(
-        block[0] for alpha, block in enumerate(spec.blocks) if (t >> alpha) & 1
-    )
+    return _path_function(spec, spec.blocks)
 
 
 def construct_gcas(spec: GcasSpec):
@@ -278,15 +262,7 @@ def construct_gcas(spec: GcasSpec):
     Members are ordered with the selector of blocks[0] varying fastest, so
     index t applies the offsets of every block alpha with bit alpha of t set.
     """
-    half = spec.q // 2
-    f = gcas_function(spec)
-    out = []
-    for t in range(1 << spec.k):
-        g = f
-        for v in gcas_offsets(spec, t):
-            g = g.add_term(half, (v,))
-        out.append(g.to_array())
-    return tuple(out)
+    return _members(gcas_function(spec), [block[0] for block in spec.blocks])
 
 
 def _raw_spec_count(q, n, m) -> int:
@@ -358,11 +334,11 @@ def _general_pair_stream(q: int, n: int, m: int):
 
 
 def basic_as_general_spec(spec: GcapBasicSpec) -> GcapGeneralSpec:
-    """General-construction spec reproducing a basic spec's pair exactly.
+    """The general-construction spec whose pair is the basic spec's pair.
 
     Walking the x path first (shifted into z indices) and the y path second
-    keeps both the link edge and the q/2 offset on x_{pi1(1)}, so the two
-    constructions emit identical array pairs.
+    keeps both the x-end to y-start link edge and the q/2 offset on
+    x_{pi1(1)}, so construct_gcap_basic is the general construction of it.
     """
     n, m = spec.n, spec.m
     pi = tuple(n + v for v in spec.pi1) + spec.pi2

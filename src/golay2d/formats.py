@@ -82,12 +82,13 @@ def array_to_csv(arr: QaryArray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_rows(text: str, q: int | None, what: str) -> tuple[int, list[list[str]]]:
+def _csv_rows(text: str, q: int | None, what: str, convert=None) -> tuple[int, list[list]]:
     """The alphabet and the comma-separated cells of an array or table CSV.
 
     A '# q=' comment sets q; blank lines are skipped.  Every data line must
     have as many cells as the first one; the first line that does not is
-    named by its 1-based line number.
+    named by its 1-based line number.  With `convert` given, each cell is
+    converted by it, and the message of a cell it rejects gains the line.
     """
     rows = []
     first = None
@@ -108,6 +109,11 @@ def _csv_rows(text: str, q: int | None, what: str) -> tuple[int, list[list[str]]
                 f"{what} CSV line {lineno} has {len(cells)} entries, "
                 f"but line {first[0]} has {first[1]}"
             )
+        if convert is not None:
+            try:
+                cells = [convert(cell) for cell in cells]
+            except ValueError as exc:
+                raise ValueError(f"{what} CSV line {lineno}: {exc}") from None
         rows.append(cells)
     if q is None:
         raise ValueError(f"{what} CSV has no '# q=' header and no q was supplied")
@@ -115,8 +121,8 @@ def _csv_rows(text: str, q: int | None, what: str) -> tuple[int, list[list[str]]
 
 
 def array_from_csv(text: str, q: int | None = None) -> QaryArray:
-    q, rows = _csv_rows(text, q, "array")
-    return QaryArray(q, [[int(cell) for cell in row] for row in rows])
+    q, rows = _csv_rows(text, q, "array", int)
+    return QaryArray(q, rows)
 
 
 def array_to_json_dict(arr: QaryArray) -> dict:
@@ -247,44 +253,35 @@ def correlation_table_from_json_dict(d: dict) -> CorrelationTable:
 # Construction specs
 # ---------------------------------------------------------------------------
 
-def _take(d: dict, kind: str, required, optional):
+# kind -> (spec class, required keys, optional keys); the 1-D kinds have n = 0.
+_SPEC_KEYS = {
+    "gcap-basic": (GcapBasicSpec, ("q", "n", "m", "pi1", "pi2"), ("p", "lambda", "p0")),
+    "gcap-general": (GcapGeneralSpec, ("q", "n", "m", "pi"), ("p", "p0")),
+    "mate": (GcapGeneralSpec, ("q", "n", "m", "pi"), ("p", "p0")),
+    "gcas": (GcasSpec, ("q", "n", "m", "blocks"), ("p", "p0")),
+    "gdj": (GcapGeneralSpec, ("q", "m", "pi"), ("p", "p0")),
+    "gcs1d": (GcasSpec, ("q", "m", "blocks"), ("p", "p0")),
+}
+
+
+def parse_construction_spec(kind: str, d: dict):
+    """Validate a spec dict for the given kind and return its spec dataclass.
+
+    gdj is a GcapGeneralSpec and gcs1d a GcasSpec, both with n = 0.
+    """
+    if kind not in _SPEC_KEYS:
+        raise ValueError(f"unknown construction kind {kind!r}; choose from {GEN_KINDS}")
+    if not isinstance(d, dict):
+        raise ValueError(f"{kind} spec must be a JSON object, got {d!r}")
+    cls, required, optional = _SPEC_KEYS[kind]
     unknown = set(d) - set(required) - set(optional)
     if unknown:
         raise ValueError(f"unknown keys for {kind} spec: {sorted(unknown)}")
     missing = [k for k in required if k not in d]
     if missing:
         raise ValueError(f"{kind} spec is missing keys: {missing}")
-
-
-def parse_construction_spec(kind: str, d: dict):
-    """Validate a spec dict for the given kind.
-
-    Returns a spec dataclass for the pair/set constructions and a kwargs dict
-    for the 1-D sequence constructions.
-    """
-    if kind in ("gcap-general", "mate"):
-        _take(d, kind, ("q", "n", "m", "pi"), ("p", "p0"))
-        return GcapGeneralSpec(
-            d["q"], d["n"], d["m"], d["pi"], d.get("p"), d.get("p0", 0)
-        )
-    if kind == "gcap-basic":
-        _take(d, kind, ("q", "n", "m", "pi1", "pi2"), ("p", "lambda", "p0"))
-        return GcapBasicSpec(
-            d["q"], d["n"], d["m"], d["pi1"], d["pi2"],
-            d.get("p"), d.get("lambda"), d.get("p0", 0),
-        )
-    if kind == "gcas":
-        _take(d, kind, ("q", "n", "m", "blocks"), ("p", "p0"))
-        return GcasSpec(d["q"], d["n"], d["m"], d["blocks"], d.get("p"), d.get("p0", 0))
-    if kind == "gdj":
-        _take(d, kind, ("q", "m", "pi"), ("p", "p0"))
-        return {"q": d["q"], "m": d["m"], "pi": d["pi"],
-                "p": d.get("p"), "p0": d.get("p0", 0)}
-    if kind == "gcs1d":
-        _take(d, kind, ("q", "m", "blocks"), ("p", "p0"))
-        return {"q": d["q"], "m": d["m"], "blocks": d["blocks"],
-                "p": d.get("p"), "p0": d.get("p0", 0)}
-    raise ValueError(f"unknown construction kind {kind!r}; choose from {GEN_KINDS}")
+    fields = {"lam" if key == "lambda" else key: value for key, value in d.items()}
+    return cls(**{"n": 0, **fields})
 
 
 def spec_to_json_dict(spec) -> dict:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfunc import _BLOCK_POINTS, QaryArray, require_even_q
-from .constructions import GcapBasicSpec, GcapGeneralSpec
+from .constructions import GcapBasicSpec, GcapGeneralSpec, basic_as_general_spec
 
 __all__ = [
     "DEFAULT_OVERSAMPLING",
@@ -219,11 +219,13 @@ def papr_bounds(spec) -> tuple[float, float]:
 
     For the general construction, the row bound is 2^v where v counts the
     maximal consecutive runs among the path positions holding column
-    variables, and symmetrically for columns.  The basic construction is
-    bounded by 2 in both directions.
+    variables, and symmetrically for columns.  A basic spec is mapped
+    through basic_as_general_spec, whose path holds the column variables in
+    one run and the row variables in another, so its bound of 2 in both
+    directions is derived by the same rule rather than special-cased.
     """
     if isinstance(spec, GcapBasicSpec):
-        return 2.0, 2.0
+        spec = basic_as_general_spec(spec)
     if isinstance(spec, GcapGeneralSpec):
         col_positions = [l for l in range(1, spec.n + spec.m + 1) if spec.pi[l - 1] > spec.n]
         row_positions = [l for l in range(1, spec.n + spec.m + 1) if spec.pi[l - 1] <= spec.n]

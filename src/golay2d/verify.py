@@ -169,6 +169,8 @@ def brute_force_gcaps(q, L1, L2, budget: int = DEFAULT_PAIR_BUDGET):
     for name, size in (("L1", L1), ("L2", L2)):
         if size < 1:
             raise ValueError(f"array size {name} must be at least 1, got {size}")
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     n_arrays = q ** (L1 * L2)
     n_pairs = n_arrays * n_arrays
     if n_pairs > budget:

@@ -83,6 +83,27 @@ def test_gen_bad_spec_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, doc, message", [
+    ("gcap-general", {**GENERAL_DOC, "pi": None}, "pi must"),
+    ("gcap-general", {**GENERAL_DOC, "p": 3}, "p must"),
+    ("gcas", {**GCAS_DOC, "blocks": [1, 2, 3]}, "blocks[0] must"),
+    ("gcap-general", {**GENERAL_DOC, "n": 1.5}, "n must"),
+    ("gcap-general", {**GENERAL_DOC, "n": 1, "m": 1, "pi": "21"}, "pi must"),
+    ("gcap-general", {**GENERAL_DOC, "p": [1.5, 0, 0, 0, 0]}, "p must"),
+    ("gcap-general", {**GENERAL_DOC, "p0": 2.7}, "p0 must"),
+    ("gcap-general", {**GENERAL_DOC, "n": True}, "n must"),
+    ("gcap-general", {**GENERAL_DOC, "q": None}, "q must"),
+    ("gcap-basic", {**BASIC_DOC, "lambda": "00"}, "lambda must"),
+    ("gdj", [1, 2], "gdj spec must be a JSON object"),
+])
+def test_gen_mistyped_spec_field_exits_2(tmp_path, capsys, kind, doc, message):
+    spec = write_spec(tmp_path, "spec.json", doc)
+    assert main(["gen", kind, "--spec", spec, "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line_error(captured.err).startswith(f"error: {message}")
+
+
 def test_verify_mate_and_failure_paths(tmp_path, capsys):
     spec = golden.general_q2_spec()
     c, d = construct_gcap_general(spec)
@@ -267,6 +288,8 @@ def test_search_nonpositive_size_exits_2(capsys):
     assert "L1" in _one_line_error(capsys.readouterr().err)
     assert main(["search", "2", "2", "-1"]) == 2
     assert "L2" in _one_line_error(capsys.readouterr().err)
+    assert main(["search", "2", "1", "1", "--budget", "-1"]) == 2
+    assert "budget must be at least 0, got -1" in _one_line_error(capsys.readouterr().err)
 
 
 def test_ragged_csv_names_the_line(tmp_path, capsys):
@@ -277,6 +300,11 @@ def test_ragged_csv_names_the_line(tmp_path, capsys):
     assert main(["verify", "gcap", str(ragged), str(good)]) == 2
     message = _one_line_error(capsys.readouterr().err)
     assert "line 3" in message and "inhomogeneous" not in message
+    bad_cell = tmp_path / "bad_cell.csv"
+    bad_cell.write_text("# q=2\n0,x\n")
+    assert main(["verify", "gcap", str(bad_cell), str(good)]) == 2
+    message = _one_line_error(capsys.readouterr().err)
+    assert "line 2" in message and "'x'" in message
 
 
 def test_papr_low_oversample_and_odd_q_exit_2(tmp_path, capsys):
@@ -292,6 +320,11 @@ def test_papr_low_oversample_and_odd_q_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "even" in _one_line_error(captured.err)
+    spec = write_spec(tmp_path, "spec.json", 3)
+    assert main(["papr", str(one), "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "spec must be a JSON object" in _one_line_error(captured.err)
 
 
 def test_parser_defaults_are_the_library_defaults():

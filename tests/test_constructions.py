@@ -222,6 +222,9 @@ def test_gcas_validation():
         GcasSpec(2, 2, 3, ((1, 2), (4, 5)))
     with pytest.raises(ValueError):
         GcasSpec(2, 2, 3, ((1, 2, 3), (), (4, 5)))
+    # numpy integers and arrays pass as their Python values.
+    spec = GcasSpec(np.int64(2), np.int8(2), 3, [np.array([4, 2, 5]), (1, 3)], np.zeros(5, int), np.int32(0))
+    assert spec == golden.gcas_q2_spec() and type(spec.blocks[0][0]) is int
 
 
 def test_count_formula():

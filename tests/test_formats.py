@@ -137,11 +137,11 @@ def test_spec_parsing_all_kinds():
     )
     assert gcas == golden.gcas_q2_spec()
     gdj = formats.parse_construction_spec("gdj", {"q": 2, "m": 2, "pi": [1, 2]})
-    assert gdj["m"] == 2
+    assert gdj == GcapGeneralSpec(2, 0, 2, (1, 2))
     gcs1d = formats.parse_construction_spec(
         "gcs1d", {"q": 2, "m": 3, "blocks": [[1, 2], [3]]}
     )
-    assert gcs1d["blocks"] == [[1, 2], [3]]
+    assert gcs1d == GcasSpec(2, 0, 3, ((1, 2), (3,)))
 
 
 def test_spec_parsing_errors():

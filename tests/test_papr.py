@@ -17,7 +17,7 @@ from golay2d import (
 )
 
 import golden
-from helpers import random_general_spec
+from helpers import random_basic_spec, random_general_spec
 
 
 def test_run_partition_examples():
@@ -73,6 +73,9 @@ def test_bounds_from_split_positions():
     spec = golden.general_q2_spec()
     assert papr_bounds(spec) == (4.0, 2.0)
     assert papr_bounds(golden.basic_q4_spec()) == (2.0, 2.0)
+    rng = np.random.default_rng(59)
+    for _ in range(30):
+        assert papr_bounds(random_basic_spec(rng)) == (2.0, 2.0)
     with pytest.raises(TypeError):
         papr_bounds(object())
 

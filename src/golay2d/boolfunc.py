@@ -9,10 +9,19 @@ l <= n and z_l = x_{l-n} for l > n.
 Bit order is little endian throughout: the array cell (g, i) assigns
 y_h = bit h-1 of g and x_j = bit j-1 of i, i.e. g = sum_h g_h 2^(h-1).
 Every frozen reference array in the test suite depends on this convention.
+
+This module is also the package's one place for input checks.  _int, _ints,
+_at_least, require_even_q and _require_uniform decide whether an integer, a
+list of integers, a size, cap or budget, an alphabet, or a group of arrays
+is acceptable; every other module calls them rather than checking or
+coercing on its own.  An integer is a Python or numpy integer, never a
+bool, float or string, and anything else raises ValueError naming the field.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +35,75 @@ __all__ = [
 ]
 
 
+def _int(value, name: str) -> int:
+    """value as an int: Python and numpy integers pass; bool, float and str do not."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _is_sequence(values) -> bool:
+    """Whether values is a list, tuple or array; a string is not."""
+    return isinstance(values, (tuple, list)) or (
+        isinstance(values, (np.ndarray, Sequence)) and not isinstance(values, (str, bytes)))
+
+
+def _ints(values, name: str) -> tuple[int, ...]:
+    """values as a tuple of ints, from a sequence of Python or numpy integers."""
+    if _is_sequence(values) and bool not in map(type, values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a list of integers, got {values!r}")
+
+
+def _at_least(value, least: int, name: str) -> int:
+    """value as an int that is at least `least`, such as a size, cap or budget."""
+    value = _int(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def _int_array(values, name: str) -> np.ndarray:
+    """values as a C-ordered int64 array of its own; a ragged, bool or float input fails."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy refuses ragged nested lists
+        arr = None
+    if arr is None or arr.dtype.kind not in "iu":
+        got = "a ragged list" if arr is None else f"dtype {arr.dtype}"
+        raise ValueError(f"{name} must be a rectangular array of integers, got {got}")
+    # One copy: a list or tuple was just converted, anything else may be shared.
+    return arr.astype(np.int64, order="C", copy=not isinstance(values, (list, tuple)))
+
+
 def require_even_q(q) -> int:
     """Validate the alphabet size.  Only even q is supported; odd q is rejected."""
-    if int(q) != q or q < 2 or q % 2 != 0:
+    q = _int(q, "q")
+    if q < 2 or q % 2 != 0:
         raise ValueError(f"alphabet size q must be an even integer >= 2, got {q!r}")
-    return int(q)
+    return q
+
+
+def _require_uniform(arrays):
+    """arrays as a nonempty list, once every array shares the first one's q and shape."""
+    arrays = list(arrays)
+    if not arrays:
+        raise ValueError("need at least one array")
+    q, L1, L2 = arrays[0].q, arrays[0].L1, arrays[0].L2
+    for a in arrays[1:]:
+        if a.q != q:
+            raise ValueError(f"alphabet mismatch: q={q} vs q={a.q}")
+        if (a.L1, a.L2) != (L1, L2):
+            raise ValueError(f"shape mismatch: {L1}x{L2} vs {a.L1}x{a.L2}")
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -84,33 +157,30 @@ class GeneralizedBooleanFunction:
     hash equal.  Instances are immutable.
     """
 
-    __slots__ = ("q", "n", "m", "terms", "constant", "_masks")
+    __slots__ = ("q", "n", "m", "terms", "constant")
 
     def __init__(self, q, n, m, terms=(), constant=0):
         q = require_even_q(q)
-        n, m = int(n), int(m)
-        if n < 0 or m < 0 or n + m < 1:
-            raise ValueError("need n >= 0, m >= 0 and n + m >= 1")
-        const = int(constant) % q
+        n, m = _at_least(n, 0, "n"), _at_least(m, 0, "m")
+        _at_least(n + m, 1, "n + m")
+        const = _int(constant, "constant") % q
         merged: dict[tuple[int, ...], int] = {}
         for coeff, variables in terms:
-            key = tuple(sorted({int(v) for v in variables}))
+            coeff = _int(coeff, "coeff")
+            key = tuple(sorted(set(_ints(variables, "vars"))))
             for v in key:
                 if not 1 <= v <= n + m:
                     raise ValueError(f"variable z_{v} outside 1..{n + m}")
             if not key:
-                const = (const + int(coeff)) % q
+                const = (const + coeff) % q
                 continue
-            merged[key] = (merged.get(key, 0) + int(coeff)) % q
+            merged[key] = (merged.get(key, 0) + coeff) % q
         self.q = q
         self.n = n
         self.m = m
         self.constant = const
         self.terms = tuple(
             (c, vs) for vs, c in sorted(merged.items()) if c
-        )
-        self._masks = tuple(
-            (sum(1 << (v - 1) for v in vs), c) for c, vs in self.terms
         )
 
     @property
@@ -129,8 +199,8 @@ class GeneralizedBooleanFunction:
             raise ValueError(f"column index {i} outside 0..{(1 << self.m) - 1}")
         word = g | (i << self.n)
         total = self.constant
-        for mask, coeff in self._masks:
-            if word & mask == mask:
+        for coeff, vs in self.terms:
+            if all(word >> (v - 1) & 1 for v in vs):
                 total += coeff
         return total % self.q
 
@@ -155,7 +225,7 @@ class GeneralizedBooleanFunction:
 
     def add_constant(self, value) -> "GeneralizedBooleanFunction":
         return GeneralizedBooleanFunction(
-            self.q, self.n, self.m, self.terms, self.constant + int(value)
+            self.q, self.n, self.m, self.terms, self.constant + _int(value, "value")
         )
 
     def to_string(self, style: str = "z") -> str:
@@ -215,13 +285,8 @@ class QaryArray:
 
     def __init__(self, q, entries):
         q = require_even_q(q)
-        arr = np.asarray(entries)
-        if arr.dtype.kind not in "iu":
-            raise ValueError(f"entries must be integers, got dtype {arr.dtype}")
-        # One copy: a list or tuple was just converted, anything else may be shared.
-        arr = arr.astype(np.int64, copy=not isinstance(entries, (list, tuple)))
         self.q = q
-        self.entries = _frozen_phases(q, arr, 2)
+        self.entries = _frozen_phases(q, _int_array(entries, "entries"), 2)
 
     @classmethod
     def _stack(cls, q: int, block: np.ndarray) -> list["QaryArray"]:
@@ -245,9 +310,7 @@ class QaryArray:
     @classmethod
     def from_sequence(cls, q, values) -> "QaryArray":
         """Wrap a 1-D sequence as a single-row array."""
-        vals = np.asarray(list(values), dtype=np.int64)
-        if vals.ndim != 1:
-            raise ValueError("expected a flat sequence of integers")
+        vals = np.asarray(_ints(list(values), "sequence"), dtype=np.int64)
         return cls(q, vals[None, :])
 
     @property

@@ -18,6 +18,7 @@ import sys
 
 from . import __version__
 from . import formats
+from .boolfunc import _at_least
 # gdj_pair and gcs_1d are unused here but stay bound: bench/tracing.py wraps them by name.
 from .constructions import (
     DEFAULT_ENUM_BUDGET,
@@ -164,13 +165,12 @@ def cmd_papr(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.budget < 0:
-        raise ValueError(f"budget must be at least 0, got {args.budget}")
+    budget = _at_least(args.budget, 0, "budget")
     formula = count_general_gcaps(args.q, args.n, args.m)
     raw = _raw_spec_count(args.q, args.n, args.m)
     print(f"formula: {formula}")
-    if raw > args.budget:
-        print(f"enumeration skipped: {raw} raw specs exceed budget {args.budget}")
+    if raw > budget:
+        print(f"enumeration skipped: {raw} raw specs exceed budget {budget}")
         return 0
     dump = open(args.dump, "w", encoding="utf-8") if args.dump else None
     try:

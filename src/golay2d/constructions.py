@@ -21,14 +21,22 @@ comes from one block of integer arithmetic.
 from __future__ import annotations
 
 import itertools
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
-from .boolfunc import _BLOCK_POINTS, GeneralizedBooleanFunction, QaryArray, _bit_planes, require_even_q
+from .boolfunc import (
+    _BLOCK_POINTS,
+    GeneralizedBooleanFunction,
+    QaryArray,
+    _at_least,
+    _bit_planes,
+    _int,
+    _ints,
+    _is_sequence,
+    require_even_q,
+)
 
 __all__ = [
     "GcapBasicSpec",
@@ -51,39 +59,11 @@ __all__ = [
 DEFAULT_ENUM_BUDGET = 1 << 22
 
 
-def _int(value, name: str) -> int:
-    """value as an int: Python and numpy integers pass; bool, float and str do not."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _is_sequence(values) -> bool:
-    """Whether values is a list, tuple or array; a string is not."""
-    return isinstance(values, (tuple, list)) or (
-        isinstance(values, (np.ndarray, Sequence)) and not isinstance(values, (str, bytes)))
-
-
-def _ints(values, name: str) -> tuple[int, ...]:
-    """values as a tuple of ints, from a sequence of Python or numpy integers."""
-    if _is_sequence(values) and bool not in map(type, values):
-        try:
-            return tuple(map(operator.index, values))
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be a list of integers, got {values!r}")
-
-
 def _check_sizes(q, n, m, what: str, least: int):
     """Validated (q, n, m) of a spec; n and m are at least `least`, n + m at least 2."""
-    q = require_even_q(_int(q, "q"))
-    n, m = _int(n, "n"), _int(m, "m")
-    if n < least or m < least or n + m < 2:
-        bound = "n >= 1 and m >= 1" if least else "n + m >= 2"
-        raise ValueError(f"the {what} construction needs {bound}")
+    q, n, m = require_even_q(q), _at_least(n, least, "n"), _at_least(m, least, "m")
+    if n + m < 2:
+        raise ValueError(f"the {what} construction needs n + m >= 2")
     return q, n, m
 
 
@@ -267,12 +247,7 @@ def construct_gcas(spec: GcasSpec):
 
 def _raw_spec_count(q, n, m) -> int:
     """(n+m)! * q^(n+m+1): the number of (pi, p, p0) choices of the general pair construction."""
-    q = require_even_q(q)
-    for name, size in (("n", n), ("m", m)):
-        if size < 0:
-            raise ValueError(f"{name} must be at least 0, got {size}")
-    if n + m < 2:
-        raise ValueError("the general pair construction needs n + m >= 2")
+    q, n, m = _check_sizes(q, n, m, "general pair", 0)
     return factorial(n + m) * q ** (n + m + 1)
 
 
@@ -299,10 +274,9 @@ def enumerate_general_gcaps(q, n, m, budget: int = DEFAULT_ENUM_BUDGET):
     range-checked once and made read-only, and the yielded arrays are views
     into it, so a pair kept after the stream moves on keeps its block alive.
     """
-    q = require_even_q(q)
+    q, n, m = _check_sizes(q, n, m, "general pair", 0)
     raw = _raw_spec_count(q, n, m)
-    if budget < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
+    budget = _at_least(budget, 0, "budget")
     if raw > budget:
         raise ValueError(
             f"enumeration budget exceeded: {raw} specs > budget {budget}"

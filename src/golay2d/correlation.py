@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolfunc import QaryArray, require_even_q
+from .boolfunc import QaryArray, _at_least, _int_array, _ints, _require_uniform, require_even_q
 
 __all__ = [
     "cyclotomic_polynomial",
@@ -41,23 +41,22 @@ __all__ = [
 ]
 
 
-def _exact_polydiv(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Quotient of integer polynomials (coefficients low degree first).
+def _polydivmod(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (coefficients low degree first).
 
-    den must be monic and must divide num exactly.
+    den must be monic and no longer than num; the remainder has len(den) - 1
+    coefficients.
     """
-    num = list(num)
+    rem = list(num)
     dd = len(den) - 1
-    out = [0] * (len(num) - dd)
+    quot = [0] * (len(num) - dd)
     for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
+        c = rem[k]
         if c:
-            out[k - dd] = c
+            quot[k - dd] = c
             for j, pj in enumerate(den):
-                num[k - dd + j] -= c * pj
-    if any(num):
-        raise ArithmeticError("polynomial division was not exact")
-    return out
+                rem[k - dd + j] -= c * pj
+    return quot, rem[:dd]
 
 
 @lru_cache(maxsize=None)
@@ -67,12 +66,13 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
     Computed by dividing x^q - 1 by the cyclotomic polynomials of all proper
     divisors of q.  Cached per q; cost is negligible at the sizes used here.
     """
-    if q < 1:
-        raise ValueError("q must be positive")
+    q = _at_least(q, 1, "q")
     poly = [-1] + [0] * (q - 1) + [1]
     for d in range(1, q):
         if q % d == 0:
-            poly = _exact_polydiv(poly, cyclotomic_polynomial(d))
+            poly, rem = _polydivmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("polynomial division was not exact")
     return tuple(poly)
 
 
@@ -87,17 +87,7 @@ def reduction_matrix(q: int) -> np.ndarray:
     """
     q = require_even_q(q)
     phi = cyclotomic_polynomial(q)
-    deg = len(phi) - 1
-    rows = []
-    for e in range(q):
-        rem = [0] * q
-        rem[e] = 1
-        for k in range(q - 1, deg - 1, -1):
-            c = rem[k]
-            if c:
-                for j, pj in enumerate(phi):
-                    rem[k - deg + j] -= c * pj
-        rows.append(rem[:deg])
+    rows = [_polydivmod([int(k == e) for k in range(q)], phi)[1] for e in range(q)]
     matrix = np.array(rows, dtype=np.int64)
     matrix.setflags(write=False)
     return matrix
@@ -145,7 +135,7 @@ class CorrelationValue:
 
     def __init__(self, q, counts):
         q = require_even_q(q)
-        counts = tuple(int(x) for x in counts)
+        counts = _ints(counts, "counts")
         if len(counts) != q:
             raise ValueError(f"need exactly q={q} exponent counts, got {len(counts)}")
         self.q = q
@@ -158,19 +148,17 @@ class CorrelationValue:
 
     @classmethod
     def from_int(cls, k, q) -> "CorrelationValue":
-        counts = [0] * q
-        counts[0] = int(k)
-        return cls(q, counts)
+        return cls.from_gaussian(k, 0, q)
 
     @classmethod
     def from_gaussian(cls, a, b, q) -> "CorrelationValue":
         """The Gaussian integer a + b*i; b != 0 requires q divisible by 4."""
-        counts = [0] * q
-        counts[0] = int(a)
+        counts = [0] * require_even_q(q)
+        counts[0] = a
         if b:
             if q % 4 != 0:
                 raise ValueError(f"q={q} has no exact exponent for sqrt(-1)")
-            counts[q // 4] = int(b)
+            counts[q // 4] = b
         return cls(q, counts)
 
     def _require_same_q(self, other: "CorrelationValue"):
@@ -231,15 +219,6 @@ class CorrelationValue:
         return f"CorrelationValue(q={self.q}, counts={self.counts})"
 
 
-def _require_compatible(c: QaryArray, d: QaryArray):
-    if c.q != d.q:
-        raise ValueError(f"alphabet mismatch: q={c.q} vs q={d.q}")
-    if (c.L1, c.L2) != (d.L1, d.L2):
-        raise ValueError(
-            f"shape mismatch: {c.L1}x{c.L2} vs {d.L1}x{d.L2}"
-        )
-
-
 def cross_correlation(c: QaryArray, d: QaryArray, u1: int, u2: int) -> CorrelationValue:
     """Aperiodic cross-correlation of the complex arrays xi^c and xi^d at (u1, u2).
 
@@ -248,7 +227,7 @@ def cross_correlation(c: QaryArray, d: QaryArray, u1: int, u2: int) -> Correlati
     nothing.  This orientation is what the frozen reference mate tables in
     the test suite follow.
     """
-    _require_compatible(c, d)
+    _require_uniform([c, d])
     L1, L2, q = c.L1, c.L2, c.q
     if not (-L1 < u1 < L1 and -L2 < u2 < L2):
         raise ValueError(f"shift ({u1}, {u2}) outside (-{L1},{L1}) x (-{L2},{L2})")
@@ -382,16 +361,12 @@ class CorrelationTable:
 
     def __init__(self, q, L1, L2, counts):
         self.q = require_even_q(q)
-        self.L1 = int(L1)
-        self.L2 = int(L2)
+        self.L1 = _at_least(L1, 1, "L1")
+        self.L2 = _at_least(L2, 1, "L2")
         shape = (2 * self.L1 - 1, 2 * self.L2 - 1, self.q)
-        try:
-            arr = np.asarray(counts)
-        except ValueError:
-            arr = None
-        if arr is None or arr.dtype.kind not in "iu" or arr.shape != shape:
-            raise ValueError(f"counts must be an integer array of shape {shape}")
-        arr = np.array(arr, dtype=np.int64, order="C")
+        arr = _int_array(counts, "counts")
+        if arr.shape != shape:
+            raise ValueError(f"counts must have shape {shape}, got {arr.shape}")
         arr.setflags(write=False)
         self.counts = arr
 
@@ -441,7 +416,7 @@ def auto_correlation_table(c: QaryArray) -> CorrelationTable:
 
 def cross_correlation_table(c: QaryArray, d: QaryArray) -> CorrelationTable:
     """Full cross-correlation table, c shifted as in cross_correlation."""
-    _require_compatible(c, d)
+    _require_uniform([c, d])
     return CorrelationTable(c.q, c.L1, c.L2, _count_tensor(c, d))
 
 

@@ -17,7 +17,7 @@ import re
 
 import numpy as np
 
-from .boolfunc import GeneralizedBooleanFunction, QaryArray
+from .boolfunc import GeneralizedBooleanFunction, QaryArray, _int, _ints
 from .constructions import GcapBasicSpec, GcapGeneralSpec, GcasSpec
 from .correlation import CorrelationTable, CorrelationValue, _complex_values, reduction_matrix
 from .papr import PaprReport
@@ -82,13 +82,14 @@ def array_to_csv(arr: QaryArray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_rows(text: str, q: int | None, what: str, convert=None) -> tuple[int, list[list]]:
-    """The alphabet and the comma-separated cells of an array or table CSV.
+def _csv_rows(text: str, q: int | None, what: str, convert) -> tuple[int, list[list]]:
+    """The alphabet and the converted cells of an array or table CSV.
 
-    A '# q=' comment sets q; blank lines are skipped.  Every data line must
-    have as many cells as the first one; the first line that does not is
-    named by its 1-based line number.  With `convert` given, each cell is
-    converted by it, and the message of a cell it rejects gains the line.
+    A '# q=' comment sets q from the whole token after 'q=', which must be
+    a plain integer; blank lines are skipped.  Each cell becomes
+    convert(cell, q), and every data line must have as many cells as the
+    first one.  The message of any rejected header, width or cell names its
+    1-based line number.
     """
     rows = []
     first = None
@@ -96,32 +97,32 @@ def _csv_rows(text: str, q: int | None, what: str, convert=None) -> tuple[int, l
         line = line.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            match = re.search(r"q\s*=\s*(\d+)", line)
-            if match:
-                q = int(match.group(1))
-            continue
+        header = line.startswith("#")
         cells = line.split(",")
-        if first is None:
-            first = (lineno, len(cells))
-        elif len(cells) != first[1]:
-            raise ValueError(
-                f"{what} CSV line {lineno} has {len(cells)} entries, "
-                f"but line {first[0]} has {first[1]}"
-            )
-        if convert is not None:
-            try:
-                cells = [convert(cell) for cell in cells]
-            except ValueError as exc:
-                raise ValueError(f"{what} CSV line {lineno}: {exc}") from None
-        rows.append(cells)
+        if not header:
+            if first is None:
+                first = (lineno, len(cells))
+            elif len(cells) != first[1]:
+                raise ValueError(
+                    f"{what} CSV line {lineno} has {len(cells)} entries, "
+                    f"but line {first[0]} has {first[1]}"
+                )
+        try:
+            if not header:
+                rows.append([convert(cell, q) for cell in cells])
+            elif match := re.search(r"\bq\s*=\s*(\S*)", line):
+                token = match.group(1)
+                # _int names a token that is not a plain integer, as it does any string.
+                q = int(token) if _INT_CELL.fullmatch(token) else _int(token, "q")
+        except ValueError as exc:
+            raise ValueError(f"{what} CSV line {lineno}: {exc}") from None
     if q is None:
         raise ValueError(f"{what} CSV has no '# q=' header and no q was supplied")
     return q, rows
 
 
 def array_from_csv(text: str, q: int | None = None) -> QaryArray:
-    q, rows = _csv_rows(text, q, "array", int)
+    q, rows = _csv_rows(text, q, "array", lambda cell, _: int(cell))
     return QaryArray(q, rows)
 
 
@@ -131,7 +132,8 @@ def array_to_json_dict(arr: QaryArray) -> dict:
 
 def array_from_json_dict(d: dict) -> QaryArray:
     try:
-        return QaryArray(d["q"], d["entries"])
+        rows = [_ints(row, f"entries[{g}]") for g, row in enumerate(d["entries"])]
+        return QaryArray(d["q"], rows)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed array JSON: {exc}") from exc
 
@@ -229,13 +231,10 @@ def correlation_table_to_csv(table: CorrelationTable) -> str:
 
 
 def correlation_table_from_csv(text: str, q: int | None = None) -> CorrelationTable:
-    q, rows = _csv_rows(text, q, "table")
+    q, rows = _csv_rows(text, q, "table", lambda cell, q: parse_correlation_value(cell, q).counts)
     if not rows or len(rows) % 2 == 0 or len(rows[0]) % 2 == 0:
         raise ValueError("table CSV must have odd row and column counts")
-    L1 = (len(rows) + 1) // 2
-    L2 = (len(rows[0]) + 1) // 2
-    counts = [[parse_correlation_value(cell, q).counts for cell in row] for row in rows]
-    return CorrelationTable(q, L1, L2, counts)
+    return CorrelationTable(q, (len(rows) + 1) // 2, (len(rows[0]) + 1) // 2, rows)
 
 
 def correlation_table_to_json_dict(table: CorrelationTable) -> dict:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfunc import _BLOCK_POINTS, QaryArray, require_even_q
+from .boolfunc import _BLOCK_POINTS, QaryArray, _at_least, _int, _ints, require_even_q
 from .constructions import GcapBasicSpec, GcapGeneralSpec, basic_as_general_spec
 
 __all__ = [
@@ -65,7 +65,7 @@ class RunPartition:
 
 def run_partition(indices) -> RunPartition:
     """Sort the indices and split at every gap; the empty set yields v = 0."""
-    idx = sorted(set(int(v) for v in indices))
+    idx = sorted({_int(v, "index") for v in indices})
     runs: list[tuple[int, ...]] = []
     start = 0
     for pos in range(1, len(idx) + 1):
@@ -73,11 +73,6 @@ def run_partition(indices) -> RunPartition:
             runs.append(tuple(idx[start:pos]))
             start = pos
     return RunPartition(frozenset(idx), tuple(runs))
-
-
-def _require_oversampling(oversampling: int):
-    if oversampling < 4:
-        raise ValueError("oversampling factor must be at least 4")
 
 
 def _phase_grid(coeffs: np.ndarray) -> np.ndarray:
@@ -207,10 +202,10 @@ def papr_sequence(seq, q, oversampling: int = DEFAULT_OVERSAMPLING) -> float:
     Average power of a unimodular sequence is L, so the result is peak / L.
     """
     q = require_even_q(q)
-    seq = np.asarray(list(seq), dtype=np.int64)
-    if seq.ndim != 1 or seq.size == 0:
+    seq = np.asarray(_ints(list(seq), "sequence"), dtype=np.int64)
+    if seq.size == 0:
         raise ValueError("expected a nonempty 1-D sequence")
-    _require_oversampling(oversampling)
+    oversampling = _at_least(oversampling, 4, "oversampling")
     return float(_paprs(seq[None, :], q, oversampling)[0])
 
 
@@ -273,7 +268,7 @@ def papr_report(c: QaryArray, spec=None, oversampling: int = DEFAULT_OVERSAMPLIN
                 f"spec implies {1 << spec.n}x{1 << spec.m} but array is {c.L1}x{c.L2}"
             )
         row_bound, col_bound = papr_bounds(spec)
-    _require_oversampling(oversampling)
+    oversampling = _at_least(oversampling, 4, "oversampling")
     return PaprReport(
         _axis_paprs(c.entries, c.q, oversampling),
         _axis_paprs(c.entries.T, c.q, oversampling),

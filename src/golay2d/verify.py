@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfunc import QaryArray, require_even_q
+from .boolfunc import QaryArray, _at_least, _require_uniform, require_even_q
 from .correlation import (
     CorrelationValue,
     _complex_values,
@@ -56,24 +56,6 @@ class VerificationResult:
     notes: tuple[str, ...] = ()
 
 
-def _require_uniform(arrays):
-    arrays = list(arrays)
-    if not arrays:
-        raise ValueError("need at least one array")
-    q, L1, L2 = arrays[0].q, arrays[0].L1, arrays[0].L2
-    for a in arrays[1:]:
-        if a.q != q:
-            raise ValueError(f"alphabet mismatch: q={a.q} vs q={q}")
-        if (a.L1, a.L2) != (L1, L2):
-            raise ValueError(f"shape mismatch: {a.L1}x{a.L2} vs {L1}x{L2}")
-    return arrays
-
-
-def _require_cap(max_violations):
-    if max_violations < 0:
-        raise ValueError(f"max_violations must be >= 0, got {max_violations}")
-
-
 def _expected_reduced(q: int, L1: int, L2: int, expected_center: int) -> np.ndarray:
     """The reduced tensor of a table that is expected_center at (0, 0) and 0 elsewhere."""
     matrix = reduction_matrix(q)
@@ -103,7 +85,7 @@ def _check_sum(tables, expected_center, max_violations, notes=()):
 
 def is_gcas(arrays, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> VerificationResult:
     """Check the complementary-set condition for N same-sized arrays."""
-    _require_cap(max_violations)
+    max_violations = _at_least(max_violations, 0, "max_violations")
     arrays = _require_uniform(arrays)
     expected = len(arrays) * arrays[0].L1 * arrays[0].L2
     return _check_sum([auto_correlation_table(a) for a in arrays], expected, max_violations)
@@ -140,7 +122,7 @@ def is_mate(pair1, pair2, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Verif
     shifts including the origin, so expected_center is 0.  Inputs that fail
     the pair condition themselves are reported in notes and fail the check.
     """
-    _require_cap(max_violations)
+    max_violations = _at_least(max_violations, 0, "max_violations")
     c, d = pair1
     c2, d2 = pair2
     _require_uniform([c, d, c2, d2])
@@ -165,12 +147,8 @@ def brute_force_gcaps(q, L1, L2, budget: int = DEFAULT_PAIR_BUDGET):
     array's reduced table is keyed as bytes, so every a finds its partners
     by one lookup.
     """
-    q = require_even_q(q)
-    for name, size in (("L1", L1), ("L2", L2)):
-        if size < 1:
-            raise ValueError(f"array size {name} must be at least 1, got {size}")
-    if budget < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
+    q, L1, L2 = require_even_q(q), _at_least(L1, 1, "L1"), _at_least(L2, 1, "L2")
+    budget = _at_least(budget, 0, "budget")
     n_arrays = q ** (L1 * L2)
     n_pairs = n_arrays * n_arrays
     if n_pairs > budget:

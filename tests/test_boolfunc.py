@@ -1,10 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
 from golay2d import (
+    CorrelationTable,
+    CorrelationValue,
     GeneralizedBooleanFunction,
     QaryArray,
+    brute_force_gcaps,
+    enumerate_general_gcaps,
+    formats,
     function_from_array,
+    is_gcap,
+    papr_sequence,
     z_role,
 )
 from golay2d.boolfunc import _bit_planes
@@ -243,3 +252,34 @@ def test_stacked_arrays_are_checked_read_only_views():
         QaryArray._stack(4, np.zeros((2, 2), dtype=np.int64))
     with pytest.raises(ValueError, match="3-D"):
         QaryArray._stack(4, np.zeros((0, 2, 2), dtype=np.int64))
+
+
+_PAIR = QaryArray(2, [[0, 1]])
+
+# (field named in the message, call that puts the value x where an integer goes)
+_INTEGER_FIELDS = [
+    ("n", lambda x: GeneralizedBooleanFunction(2, x, 1)),
+    ("m", lambda x: GeneralizedBooleanFunction(2, 1, x)),
+    ("coeff", lambda x: GeneralizedBooleanFunction(4, 1, 1, [(x, (1,))])),
+    ("vars", lambda x: GeneralizedBooleanFunction(4, 1, 1, [(1, (1, x))])),
+    ("constant", lambda x: GeneralizedBooleanFunction(4, 1, 1, constant=x)),
+    ("sequence", lambda x: QaryArray.from_sequence(4, [0, x])),
+    ("counts", lambda x: CorrelationValue(2, [x, 0])),
+    ("L1", lambda x: CorrelationTable(2, x, 1, [[[1, 0]]])),
+    ("L2", lambda x: CorrelationTable(2, 1, x, [[[1, 0]]])),
+    ("sequence", lambda x: papr_sequence([0, x], 4)),
+    ("q", lambda x: formats.array_from_json_dict({"q": x, "entries": [[0, 1]]})),
+    ("entries[0]", lambda x: formats.array_from_json_dict({"q": 4, "entries": [[x, 1]]})),
+    ("q", lambda x: formats.correlation_table_from_json_dict({"q": x, "L1": 1, "L2": 1, "counts": [[[1, 0]]]})),
+    ("q", lambda x: formats.function_from_json_dict({"q": x, "n": 1, "m": 1})),
+    ("L1", lambda x: brute_force_gcaps(2, x, 1)),
+    ("n", lambda x: enumerate_general_gcaps(2, x, 1)),
+    ("max_violations", lambda x: is_gcap(_PAIR, _PAIR, max_violations=x)),
+]
+
+
+@pytest.mark.parametrize("value", [1.5, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("field, call", _INTEGER_FIELDS, ids=[f for f, _ in _INTEGER_FIELDS])
+def test_every_outside_integer_is_checked_by_name(field, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be "):
+        call(value)

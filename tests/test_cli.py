@@ -171,6 +171,15 @@ def test_corr_argument_errors(tmp_path, capsys):
     formats.save_array(QaryArray(2, [[0, 1]]), path)
     assert main(["corr", str(path), str(path)]) == 2
     assert main(["corr", str(path), "--cross"]) == 2
+    capsys.readouterr()
+    for doc, message in (('{"q": 4.0, "entries": [[0, 1]]}', "q must be an integer"),
+                         ('{"q": 4, "entries": [[true, 1]]}', "entries[0] must be"),
+                         ('{"q": 4, "entries": [[0, 1], [0]]}', "entries must be a rectangular array")):
+        path.write_text(doc)
+        assert main(["corr", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in _one_line_error(captured.err)
 
 
 def test_papr_json_report(tmp_path, capsys):
@@ -305,6 +314,13 @@ def test_ragged_csv_names_the_line(tmp_path, capsys):
     assert main(["verify", "gcap", str(bad_cell), str(good)]) == 2
     message = _one_line_error(capsys.readouterr().err)
     assert "line 2" in message and "'x'" in message
+    for header in ("4.5", "4abc"):
+        bad_cell.write_text(f"# q={header}\n0,1\n")
+        assert main(["corr", str(bad_cell)]) == 2
+        message = _one_line_error(capsys.readouterr().err)
+        assert message == f"error: array CSV line 1: q must be an integer, got '{header}'"
+    with pytest.raises(ValueError, match=r"^table CSV line 2: cell 'x'"):
+        formats.correlation_table_from_csv("# q=2 L1=1 L2=2\n1,x,1\n")
 
 
 def test_papr_low_oversample_and_odd_q_exit_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -250,6 +251,13 @@ def test_reduction_matrix():
     for q in TENSOR_QS:
         counts = rng.integers(-50, 50, q)
         assert CorrelationValue(q, counts).reduced == tuple(counts @ reduction_matrix(q))
+    # Row e is x^e mod Phi_q: phi(q) coefficients, the same number at xi.
+    for q in range(2, 65, 2):
+        phi = sum(math.gcd(k, q) == 1 for k in range(1, q + 1))
+        matrix = reduction_matrix(q)
+        assert matrix.shape == (q, phi)
+        powers = np.exp(2j * np.pi * np.arange(q) / q)
+        assert np.abs(matrix @ powers[:phi] - powers).max() < 1e-9
 
 
 def test_table_views_sum_and_equality():

@@ -125,6 +125,7 @@ def z_role(l: int, n: int, m: int) -> VariableRole:
     z_l is the row variable y_l for 1 <= l <= n and the column variable
     x_{l-n} for n < l <= n+m.
     """
+    l, n, m = _int(l, "l"), _at_least(n, 0, "n"), _at_least(m, 0, "m")
     if not 1 <= l <= n + m:
         raise ValueError(f"variable index {l} outside 1..{n + m}")
     if l <= n:
@@ -183,6 +184,19 @@ class GeneralizedBooleanFunction:
             (c, vs) for vs, c in sorted(merged.items()) if c
         )
 
+    @classmethod
+    def _canonical(cls, q: int, n: int, m: int, terms: tuple, constant: int):
+        """Wrap terms that are already canonical, without merging or checking them.
+
+        The caller guarantees what __init__ would establish: q, n and m are
+        valid, constant lies in 0..q-1, and terms is a tuple of (coeff, vars)
+        sorted strictly by vars, each coeff in 1..q-1 and each vars a sorted
+        tuple of distinct variables in 1..n+m.
+        """
+        f = object.__new__(cls)
+        f.q, f.n, f.m, f.terms, f.constant = q, n, m, terms, constant
+        return f
+
     @property
     def num_vars(self) -> int:
         return self.n + self.m
@@ -193,6 +207,7 @@ class GeneralizedBooleanFunction:
 
     def evaluate(self, g: int, i: int) -> int:
         """Value at row index g and column index i (little-endian bit assignment)."""
+        g, i = _int(g, "g"), _int(i, "i")
         if not 0 <= g < (1 << self.n):
             raise ValueError(f"row index {g} outside 0..{(1 << self.n) - 1}")
         if not 0 <= i < (1 << self.m):
@@ -358,6 +373,7 @@ def function_from_array(arr: QaryArray, n: int, m: int) -> GeneralizedBooleanFun
     a_S = sum_{T subset S} (-1)^(|S|-|T|) f(T) mod q, computed in place one
     variable at a time.
     """
+    n, m = _at_least(n, 0, "n"), _at_least(m, 0, "m")
     if arr.L1 != 1 << n or arr.L2 != 1 << m:
         raise ValueError(
             f"array is {arr.L1}x{arr.L2}; expected {1 << n}x{1 << m} for n={n}, m={m}"

@@ -15,7 +15,10 @@ pi(1) = 3.
 The exhaustive stream of the general pair construction evaluates no
 function per spec: the linear part and constant only add a fixed
 combination of bit planes to the path array of pi, so every pair of one pi
-comes from one block of integer arithmetic.
+comes from one block of integer arithmetic.  The stream also validates
+once per permutation: GcapGeneralSpec checks pi when the block starts, and
+each (p, p0) row of the block becomes a spec without a second check, since
+its digits lie in 0..q-1 by construction.
 """
 
 from __future__ import annotations
@@ -171,11 +174,21 @@ class GcasSpec:
 
 
 def _path_function(spec, paths) -> GeneralizedBooleanFunction:
-    """spec's linear part and constant plus a q/2 edge between neighbours on each path."""
+    """spec's linear part and constant plus a q/2 edge between neighbours on each path.
+
+    The paths of a validated spec are vertex-disjoint and its coefficients
+    already lie in 0..q-1, so the terms are built canonical and nothing is
+    merged or checked again: each edge as a sorted pair, the nonzero linear
+    singletons, and the whole list sorted by variables.
+    """
     half = spec.q // 2
-    terms = [(half, (path[l], path[l + 1])) for path in paths for l in range(len(path) - 1)]
-    terms += [(coeff, (l,)) for l, coeff in enumerate(spec.p, start=1) if coeff]
-    return GeneralizedBooleanFunction(spec.q, spec.n, spec.m, terms, constant=spec.p0)
+    keyed = [
+        ((a, b) if a < b else (b, a), half) for path in paths for a, b in zip(path, path[1:])
+    ]
+    keyed += [((l,), coeff) for l, coeff in enumerate(spec.p, start=1) if coeff]
+    keyed.sort()
+    terms = tuple((coeff, vs) for vs, coeff in keyed)
+    return GeneralizedBooleanFunction._canonical(spec.q, spec.n, spec.m, terms, spec.p0)
 
 
 def _members(f: GeneralizedBooleanFunction, starts):
@@ -295,7 +308,8 @@ def _general_pair_stream(q: int, n: int, m: int):
     # of (p_1, ..., p_{n+m}, p0).
     powers = q ** np.arange(n + m, -1, -1, dtype=np.int64)
     for pi in itertools.permutations(range(1, n + m + 1)):
-        path = general_gcap_function(GcapGeneralSpec(q, n, m, pi)).to_array().entries.reshape(-1)
+        base = GcapGeneralSpec(q, n, m, pi)
+        path = general_gcap_function(base).to_array().entries.reshape(-1)
         offset = half * flat[pi[0] - 1]
         for start in range(0, per_pi, step):
             digits = np.arange(start, min(start + step, per_pi))[:, None] // powers % q
@@ -304,7 +318,10 @@ def _general_pair_stream(q: int, n: int, m: int):
             firsts = QaryArray._stack(q, c.reshape(-1, *shape))
             seconds = QaryArray._stack(q, d.reshape(-1, *shape))
             for row, pair in zip(digits.tolist(), zip(firsts, seconds)):
-                yield GcapGeneralSpec(q, n, m, pi, row[:-1], row[-1]), pair
+                # base validated pi; every digit lies in 0..q-1 by construction.
+                spec = object.__new__(GcapGeneralSpec)
+                spec.__dict__.update(base.__dict__, p=tuple(row[:-1]), p0=row[-1])
+                yield spec, pair
 
 
 def basic_as_general_spec(spec: GcapBasicSpec) -> GcapGeneralSpec:

@@ -25,7 +25,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolfunc import QaryArray, _at_least, _int_array, _ints, _require_uniform, require_even_q
+from .boolfunc import (
+    QaryArray,
+    _at_least,
+    _int,
+    _int_array,
+    _ints,
+    _require_uniform,
+    require_even_q,
+)
 
 __all__ = [
     "cyclotomic_polynomial",
@@ -228,6 +236,7 @@ def cross_correlation(c: QaryArray, d: QaryArray, u1: int, u2: int) -> Correlati
     the test suite follow.
     """
     _require_uniform([c, d])
+    u1, u2 = _int(u1, "u1"), _int(u2, "u2")
     L1, L2, q = c.L1, c.L2, c.q
     if not (-L1 < u1 < L1 and -L2 < u2 < L2):
         raise ValueError(f"shift ({u1}, {u2}) outside (-{L1},{L1}) x (-{L2},{L2})")
@@ -328,9 +337,9 @@ def _count_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
     levels = np.arange(q)[:, None, None]
     fc = np.fft.rfft2(c.entries == levels, s=shape)
     fd = (fc if d is c else np.fft.rfft2(d.entries == levels, s=shape)).conj()
-    spectra = np.stack([
-        np.einsum("bij,bij->ij", np.roll(fc, -e, axis=0), fd) for e in range(q)
-    ])
+    # Row e of cyclic is (b + e) mod q for b = 0..q-1, so fc[cyclic[e]][b] is C_(b+e).
+    cyclic = np.add.outer(np.arange(q), np.arange(q)) % q
+    spectra = np.stack([np.einsum("bij,bij->ij", fc[cyclic[e]], fd) for e in range(q)])
     planes = np.fft.irfft2(spectra, s=shape)
     rows = np.arange(1 - L1, L1) % shape[0]
     cols = np.arange(1 - L2, L2) % shape[1]
@@ -371,6 +380,7 @@ class CorrelationTable:
         self.counts = arr
 
     def value(self, u1: int, u2: int) -> CorrelationValue:
+        u1, u2 = _int(u1, "u1"), _int(u2, "u2")
         if not (-self.L1 < u1 < self.L1 and -self.L2 < u2 < self.L2):
             raise ValueError(f"shift ({u1}, {u2}) out of range")
         return CorrelationValue(self.q, self.counts[u1 + self.L1 - 1, u2 + self.L2 - 1].tolist())

@@ -145,7 +145,8 @@ def brute_force_gcaps(q, L1, L2, budget: int = DEFAULT_PAIR_BUDGET):
     the reduced tables of a and b sum to the expected centre, which holds
     exactly when b's reduced table is the expected centre minus a's.  Each
     array's reduced table is keyed as bytes, so every a finds its partners
-    by one lookup.
+    by one lookup.  The arrays are views into one digit block, range-checked
+    once; each still gets a table of its own.
     """
     q, L1, L2 = require_even_q(q), _at_least(L1, 1, "L1"), _at_least(L2, 1, "L2")
     budget = _at_least(budget, 0, "budget")
@@ -158,12 +159,11 @@ def brute_force_gcaps(q, L1, L2, budget: int = DEFAULT_PAIR_BUDGET):
     powers = q ** np.arange(L1 * L2 - 1, -1, -1, dtype=np.int64)
     digits = (np.arange(n_arrays, dtype=np.int64)[:, None] // powers) % q
     expected = _expected_reduced(q, L1, L2, 2 * L1 * L2)
-    arrays, partners = [], []
+    arrays = QaryArray._stack(q, digits.reshape(n_arrays, L1, L2))
+    partners = []
     by_table: dict[bytes, list[int]] = {}
-    for index, entries in enumerate(digits):
-        a = QaryArray(q, entries.reshape(L1, L2))
+    for index, a in enumerate(arrays):
         reduced = auto_correlation_table(a).reduced()
-        arrays.append(a)
         by_table.setdefault(reduced.tobytes(), []).append(index)
         partners.append((expected - reduced).tobytes())
     return [

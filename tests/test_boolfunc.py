@@ -8,7 +8,9 @@ from golay2d import (
     CorrelationValue,
     GeneralizedBooleanFunction,
     QaryArray,
+    auto_correlation_table,
     brute_force_gcaps,
+    cross_correlation,
     enumerate_general_gcaps,
     formats,
     function_from_array,
@@ -276,10 +278,30 @@ _INTEGER_FIELDS = [
     ("n", lambda x: enumerate_general_gcaps(2, x, 1)),
     ("max_violations", lambda x: is_gcap(_PAIR, _PAIR, max_violations=x)),
 ]
+_SQUARE = QaryArray(2, [[0, 1], [1, 1]])
+# Index, shift and size arguments of lookups, as (test id, field, call): the
+# id names the call, because a bare field name such as "m" is taken above.
+_INDEX_FIELDS = [
+    ("evaluate.g", "g", lambda x: GeneralizedBooleanFunction(2, 1, 1).evaluate(x, 0)),
+    ("evaluate.i", "i", lambda x: GeneralizedBooleanFunction(2, 1, 1).evaluate(0, x)),
+    ("function_from_array.n", "n", lambda x: function_from_array(_SQUARE, x, 1)),
+    ("function_from_array.m", "m", lambda x: function_from_array(_SQUARE, 1, x)),
+    ("z_role.l", "l", lambda x: z_role(x, 1, 1)),
+    ("z_role.n", "n", lambda x: z_role(1, x, 1)),
+    ("z_role.m", "m", lambda x: z_role(1, 1, x)),
+    ("value.u1", "u1", lambda x: auto_correlation_table(_SQUARE).value(x, 0)),
+    ("value.u2", "u2", lambda x: auto_correlation_table(_SQUARE).value(0, x)),
+    ("cross_correlation.u1", "u1", lambda x: cross_correlation(_SQUARE, _SQUARE, x, 0)),
+    ("cross_correlation.u2", "u2", lambda x: cross_correlation(_SQUARE, _SQUARE, 0, x)),
+]
 
 
 @pytest.mark.parametrize("value", [1.5, True, "2"], ids=["float", "bool", "str"])
-@pytest.mark.parametrize("field, call", _INTEGER_FIELDS, ids=[f for f, _ in _INTEGER_FIELDS])
+@pytest.mark.parametrize(
+    "field, call",
+    _INTEGER_FIELDS + [(field, call) for _, field, call in _INDEX_FIELDS],
+    ids=[f for f, _ in _INTEGER_FIELDS] + [key for key, _, _ in _INDEX_FIELDS],
+)
 def test_every_outside_integer_is_checked_by_name(field, call, value):
     with pytest.raises(ValueError, match=f"^{re.escape(field)} must be "):
         call(value)

@@ -274,6 +274,11 @@ def test_enumeration_matches_nested_loop_and_construction():
             stream = list(enumerate_general_gcaps(q, n, m))
             fields = [(s.q, s.n, s.m, s.pi, s.p, s.p0) for s, _ in stream]
             assert fields == _nested_loop_fields(q, n, m)
+            # The stream validates pi once per permutation and trusts its
+            # digits; each spec must still be the validated one, types included.
+            assert [s for s, _ in stream] == [GcapGeneralSpec(*f) for f in fields]
+            assert {(type(s.pi), type(s.p)) for s, _ in stream} == {(tuple, tuple)}
+            assert {type(v) for f in fields for v in (*f[:3], *f[3], *f[4], f[5])} == {int}
             for spec, pair in stream[::stride]:
                 assert pair == construct_gcap_general(spec), spec
 

@@ -144,8 +144,12 @@ def cmd_papr(args) -> int:
     spec = None
     if args.spec:
         spec_dict = _load_json(args.spec)
-        basic = isinstance(spec_dict, dict) and "pi1" in spec_dict
-        spec = formats.parse_construction_spec("gcap-basic" if basic else "gcap-general", spec_dict)
+        kind = "gcap-general"
+        if isinstance(spec_dict, dict) and "pi1" in spec_dict:
+            kind = "gcap-basic"
+        elif isinstance(spec_dict, dict) and "n" not in spec_dict:
+            kind = "gdj"
+        spec = formats.parse_construction_spec(kind, spec_dict)
     oversampling = args.oversample if args.oversample is not None else _default_oversampling()
     report = papr_report(arr, spec=spec, oversampling=oversampling)
     if args.json:
@@ -244,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("papr", help="report row/column PAPRs with bounds")
     p.add_argument("file")
-    p.add_argument("--spec", default=None, help="construction spec JSON for bounds")
+    p.add_argument("--spec", default=None, help="gcap-basic, gcap-general or gdj spec JSON for bounds")
     p.add_argument("--oversample", type=int, default=None,
                    help=f"PAPR oversampling factor (default ${OVERSAMPLE_ENV} or {DEFAULT_OVERSAMPLING})")
     p.add_argument("--q", type=int, default=None)

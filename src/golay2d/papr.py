@@ -4,16 +4,18 @@ A length-L phase sequence s over Z_q modulates L subcarriers; the continuous
 envelope power |S(t)|^2 = |sum_i xi^{s_i} exp(2*pi*sqrt(-1)*i*t)|^2 is a
 trigonometric polynomial of degree below L and has period 1 in t.  The peak
 is located by dense sampling at R*L uniform points followed by a local
-ternary-search refinement down to 1e-10 in t, which pins the maximum far
-below the 1e-3 tolerances used by the numeric tests.
+safeguarded Newton refinement down to 1e-10 in t, which pins the maximum
+far below the 1e-3 tolerances used by the numeric tests.
 
 One kernel measures a whole matrix of sequences.  The best of the R*L
 samples is found without taking all of them: a zero-padded inverse FFT
 samples a subgrid of 16 points per 1/L on blocks of rows of bounded size,
 and a curvature bound on |S|^2 names the few windows of the full grid that
 can hold the best sample, which are then evaluated directly.  The
-refinement runs in lockstep for all rows, one vectorised envelope
-evaluation per step, with each exponential split into two short factors.
+refinement runs in lockstep for all rows: each step evaluates S, S' and S''
+of every row in one vectorised pass, with each exponential split into two
+short factors, and a row's Newton step on the derivative of |S|^2 usually
+settles in three steps.
 A report measures each axis once per distinct row up to a constant:
 adding k to a sequence multiplies S(t) by the unit xi^k and leaves |S(t)|
 unchanged, and the constructions repeat rows heavily in this sense.
@@ -76,25 +78,27 @@ def run_partition(indices) -> RunPartition:
 
 
 def _phase_grid(coeffs: np.ndarray) -> np.ndarray:
-    """The rows of coeffs (S, L), zero-padded and folded to (S, B, C) with B*C >= L.
+    """The rows of coeffs (S, J, L), zero-padded and folded to (S, B, J, C) with B*C >= L.
 
-    Entry [s, a, b] is coefficient a + B*b, and B is a power of two near
-    sqrt(L), so exp(2*pi*i*(a + B*b)*t) splits into B + C exponentials.
+    Entry [s, a, j, b] is coefficient a + B*b of row (s, j), and B is a power
+    of two near sqrt(L), so exp(2*pi*i*(a + B*b)*t) splits into B + C
+    exponentials.  The result is contiguous, so one matmul per evaluation
+    takes the J rows of every s at once.
     """
-    S, L = coeffs.shape
+    S, J, L = coeffs.shape
     B = 1 << ((L - 1).bit_length() // 2)
     C = -(-L // B)
-    grid = np.zeros((S, C * B), dtype=complex)
-    grid[:, :L] = coeffs
-    return grid.reshape(S, C, B).transpose(0, 2, 1)
+    grid = np.zeros((S, J, C * B), dtype=complex)
+    grid[..., :L] = coeffs
+    return np.ascontiguousarray(grid.reshape(S, J, C, B).transpose(0, 3, 1, 2))
 
 
-def _envelope_powers(grid: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """|S(t)|^2 of every folded row of grid (S, B, C) at the points t (S, K); shape (S, K)."""
-    _, B, C = grid.shape
-    low = np.exp(2j * np.pi * t[..., None] * np.arange(B))
-    high = np.exp(2j * np.pi * t[..., None] * (B * np.arange(C)))
-    return np.abs(((low @ grid) * high).sum(axis=-1)) ** 2
+def _envelopes(grid: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Sum of every folded row of grid (S, B, J, C) at its point t (S,); shape (S, J)."""
+    S, B, J, C = grid.shape
+    low = np.exp(2j * np.pi * t[:, None, None] * np.arange(B))
+    high = np.exp(2j * np.pi * t[:, None, None] * (B * np.arange(C)))
+    return ((low @ grid.reshape(S, B, J * C)).reshape(S, J, C) * high).sum(axis=-1)
 
 
 def _coarse_step(oversampling: int) -> int:
@@ -141,29 +145,48 @@ def _grid_peaks(coeffs: np.ndarray, oversampling: int) -> tuple[np.ndarray, np.n
 
 
 def _refined_peaks(coeffs: np.ndarray, peak: np.ndarray, num: int) -> np.ndarray:
-    """Lockstep ternary search of every row's bracket around its best sample.
+    """Lockstep safeguarded Newton search of every row's bracket around its best sample.
 
-    The search runs in the offset u from the sample, S(peak / num + u),
+    The search runs in the offset u from the sample, P(u) = |S(peak / num + u)|^2,
     whose coefficients are the row's twisted by exp(2*pi*i*n*peak / num).
-    Every bracket starts at width 2/num, and each step evaluates both probes
-    of every row at once; a row whose bracket is already below _REFINE_TOL
-    keeps it, so each row takes the steps of a scalar ternary search.
-    Returns |S|^2 at the final bracket centres.
+    Each step evaluates S, S' and S'' of every row at once and takes the
+    Newton step on P' = 2 Re(S' conj S), with P'' = 2 Re(S'' conj S) + 2|S'|^2.
+    The sign of P' moves one end of the bracket, which starts as
+    [-1/num, 1/num].  The step falls back to the bracket midpoint when
+    P'' >= 0, when the Newton point leaves the bracket (an end included) or
+    when the step is more than half the step before last, so the steps
+    shrink at least geometrically and every search ends.  A row stops once
+    its step or its bracket is below _REFINE_TOL and keeps its point and
+    |S|^2 from then on, so each row takes the steps a scalar search would.
+    Returns |S|^2 at the point where each row stopped.
     """
     n = np.arange(coeffs.shape[1])
-    grid = _phase_grid(coeffs * np.exp(2j * np.pi * (np.outer(peak, n) % num) / num))
+    twisted = coeffs * np.exp(2j * np.pi * (np.outer(peak, n) % num) / num)
+    # S, S' and S'' in u: the coefficients weighted by 1, 2*pi*i*n and -(2*pi*n)^2.
+    weights = np.stack([np.ones(len(n)), 2j * np.pi * n, -((2 * np.pi * n) ** 2)])
+    grid = _phase_grid(twisted[:, None, :] * weights)
     lo = np.full(len(peak), -1 / num)
     hi = -lo
-    active = hi - lo > _REFINE_TOL
+    u = np.zeros(len(peak))
+    power = np.empty(len(peak))
+    last = before = hi - lo
+    active = np.ones(len(peak), dtype=bool)
     while active.any():
-        third = (hi - lo) / 3
-        probes = np.stack([lo + third, hi - third], axis=1)
-        power = _envelope_powers(grid, probes)
-        rising = power[:, 0] < power[:, 1]
-        lo = np.where(active & rising, probes[:, 0], lo)
-        hi = np.where(active & ~rising, probes[:, 1], hi)
-        active = hi - lo > _REFINE_TOL
-    return _envelope_powers(grid, ((lo + hi) / 2)[:, None])[:, 0]
+        s, ds, d2s = _envelopes(grid, u).T
+        power = np.where(active, s.real ** 2 + s.imag ** 2, power)
+        slope = 2 * (ds * s.conj()).real
+        curve = 2 * (d2s * s.conj()).real + 2 * (ds.real ** 2 + ds.imag ** 2)
+        lo = np.where(slope >= 0, u, lo)
+        hi = np.where(slope < 0, u, hi)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            newton = u - slope / curve
+        safe = (curve < 0) & (lo <= newton) & (newton <= hi) & (2 * np.abs(newton - u) <= before)
+        target = np.where(safe, newton, (lo + hi) / 2)
+        step = np.abs(target - u)
+        active &= (step >= _REFINE_TOL) & (hi - lo >= _REFINE_TOL)
+        u = np.where(active, target, u)
+        last, before = step, last
+    return power
 
 
 def _paprs(seqs: np.ndarray, q: int, oversampling: int) -> np.ndarray:
@@ -173,8 +196,8 @@ def _paprs(seqs: np.ndarray, q: int, oversampling: int) -> np.ndarray:
     zero-padded inverse FFT on a coarser subgrid (see _grid_peaks), on blocks
     of rows that hold at most _BLOCK_POINTS coarse samples (one row when a
     single row is longer), and is then refined.  The refinement works on
-    chunks of rows of at most _BLOCK_POINTS phase terms, so memory stays
-    flat in S.
+    chunks of rows whose S, S' and S'' coefficients number at most
+    _BLOCK_POINTS, so memory stays flat in S.
     """
     S, L = seqs.shape
     if L == 1:
@@ -187,7 +210,7 @@ def _paprs(seqs: np.ndarray, q: int, oversampling: int) -> np.ndarray:
     for s in range(0, S, block):
         rows = slice(s, s + block)
         peak[rows], best[rows] = _grid_peaks(coeffs[rows], oversampling)
-    chunk = max(1, _BLOCK_POINTS // (2 * L))
+    chunk = max(1, _BLOCK_POINTS // (3 * L))
     for s in range(0, S, chunk):
         rows = slice(s, s + chunk)
         best[rows] = np.maximum(best[rows], _refined_peaks(coeffs[rows], peak[rows], num))
@@ -198,7 +221,8 @@ def papr_sequence(seq, q, oversampling: int = DEFAULT_OVERSAMPLING) -> float:
     """Peak-to-average power ratio of a Z_q phase sequence.
 
     Samples |S(t)|^2 at oversampling * L uniform points of [0, 1), then
-    ternary-searches the bracket around the best sample down to 1e-10 in t.
+    refines the peak by safeguarded Newton steps inside the bracket around
+    the best sample, down to 1e-10 in t.
     Average power of a unimodular sequence is L, so the result is peak / L.
     """
     q = require_even_q(q)
@@ -281,8 +305,10 @@ def _axis_paprs(rows: np.ndarray, q: int, oversampling: int) -> tuple[float, ...
 
     Adding a constant k to a sequence multiplies S(t) by the unit xi^k, so
     each row is first shifted to start at 0; equal shifted rows share one
-    kernel result, bit for bit.
+    kernel result, bit for bit.  Each row is compared as one opaque key, its
+    bytes, which np.unique sorts far faster than rows along axis 0.
     """
-    canonical = (rows - rows[:, :1]) % q
-    distinct, inverse = np.unique(canonical, axis=0, return_inverse=True)
-    return tuple(_paprs(distinct, q, oversampling)[inverse.reshape(-1)].tolist())
+    canonical = np.ascontiguousarray((rows - rows[:, :1]) % q)
+    keys = canonical.view(np.dtype((np.void, canonical.itemsize * canonical.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return tuple(_paprs(canonical[first], q, oversampling)[inverse].tolist())

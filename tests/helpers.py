@@ -1,4 +1,4 @@
-"""Shared helpers: seeded random spec generators, a naive correlation oracle and a value counter."""
+"""Shared helpers: seeded random spec generators, a naive correlation oracle, a sampled PAPR oracle and a value counter."""
 
 import numpy as np
 
@@ -42,6 +42,13 @@ def random_gcas_spec(rng, q=None, n=None, m=None) -> GcasSpec:
         start = cut
     p = tuple(int(v) for v in rng.integers(0, q, n + m))
     return GcasSpec(q, n, m, tuple(blocks), p, int(rng.integers(0, q)))
+
+
+def sampled_max(rows: np.ndarray, q: int, oversampling: int) -> np.ndarray:
+    """Largest of oversampling * L uniform samples of |S(t)|^2 / L, per row."""
+    L = rows.shape[1]
+    z = np.exp(2j * np.pi * rows / q)
+    return (np.abs(np.fft.fft(z, oversampling * L, axis=1)) ** 2).max(axis=1) / L
 
 
 def random_array(rng, q=None, L1=None, L2=None) -> QaryArray:

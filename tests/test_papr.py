@@ -17,7 +17,7 @@ from golay2d import (
 )
 
 import golden
-from helpers import random_basic_spec, random_general_spec
+from helpers import random_basic_spec, random_general_spec, sampled_max
 
 
 def test_run_partition_examples():
@@ -158,13 +158,6 @@ def test_all_zero_square_array_paprs():
     assert all(v == pytest.approx(2.0, abs=1e-9) for v in report.per_row + report.per_col)
 
 
-def _sampled_max(rows: np.ndarray, q: int, oversampling: int) -> np.ndarray:
-    """Largest of oversampling * L uniform samples of |S(t)|^2 / L, per row."""
-    L = rows.shape[1]
-    z = np.exp(2j * np.pi * rows / q)
-    return (np.abs(np.fft.fft(z, oversampling * L, axis=1)) ** 2).max(axis=1) / L
-
-
 def test_papr_within_oracle_sampling_interval():
     # Independent oracle: a polynomial of degree below L sampled at R*L
     # points obeys max|S| <= max_k |S(t_k)| / cos(pi / 2R), so with R = 4096
@@ -179,7 +172,7 @@ def test_papr_within_oracle_sampling_interval():
         report = papr_report(arr)
         for values, rows in ((report.per_row, arr.entries), (report.per_col, arr.entries.T)):
             values = np.asarray(values)
-            floor = _sampled_max(rows, q, R)
+            floor = sampled_max(rows, q, R)
             assert (values >= floor * (1 - 1e-12)).all()
             assert (values <= floor / widen * (1 + 1e-12)).all()
 
@@ -252,6 +245,44 @@ def test_grid_peaks_find_the_best_fine_sample():
                               np.arange(L)[None, :] * (q // 2) % q])
             coeffs = np.exp(2j * np.pi * rows / q)
             peak, best = golay2d.papr._grid_peaks(coeffs, R)
-            assert best / L == pytest.approx(_sampled_max(rows, q, R), rel=1e-12)
+            assert best / L == pytest.approx(sampled_max(rows, q, R), rel=1e-12)
             at_peak = np.exp(2j * np.pi * np.outer(peak, np.arange(L)) / (R * L))
             assert np.abs((coeffs * at_peak).sum(axis=1)) ** 2 == pytest.approx(best, rel=1e-12)
+
+
+def test_refinement_takes_few_rounds(monkeypatch):
+    # Safeguarded Newton converges in a few lockstep rounds, and a peak that
+    # lies on the sampling grid ends the search at its first evaluation.
+    rounds = []
+    envelopes = golay2d.papr._envelopes
+
+    def counting_envelopes(grid, t):
+        rounds[-1] += 1
+        return envelopes(grid, t)
+
+    monkeypatch.setattr(golay2d.papr, "_envelopes", counting_envelopes)
+
+    def refine(rows, q, R):
+        coeffs = np.exp(2j * np.pi * rows / q)
+        peak, _ = golay2d.papr._grid_peaks(coeffs, R)
+        rounds.append(0)
+        golay2d.papr._refined_peaks(coeffs, peak, R * rows.shape[1])
+        return rounds[-1]
+
+    rng = np.random.default_rng(103)
+    for R in (4, 5, 16, 256):
+        for n, m in ((1, 2), (2, 3), (3, 4), (5, 2), (4, 6)):
+            general = random_general_spec(rng, q=int(rng.choice((2, 4, 6, 8, 12))), n=n, m=m)
+            basic = random_basic_spec(rng, n=n, m=m)
+            for c in (construct_gcap_general(general)[0], construct_gcap_basic(basic)[0]):
+                assert refine(c.entries, c.q, R) <= 8
+                assert refine(c.entries.T, c.q, R) <= 8
+        for q in (2, 4, 6, 8, 12):
+            L = int(rng.integers(2, 129))
+            assert refine(rng.integers(0, q, (50, L)), q, R) <= 8
+        for q in (2, 4, 6, 8, 12):
+            for L in (2, 5, 16, 64):
+                assert refine(np.zeros((1, L), int), q, R) == 1
+                if R * L % 2 == 0:  # the alternating row peaks at t = 1/2
+                    assert refine(np.arange(L)[None, :] * (q // 2) % q, q, R) == 1
+            assert refine(np.array([[q // 2, 0]]), q, R) == 1

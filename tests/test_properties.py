@@ -1,9 +1,15 @@
 """Property tests: Hypothesis draws the inputs, derandomized so every run sees the same ones."""
 
+import math
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from golay2d import GcapGeneralSpec, GcasSpec, GeneralizedBooleanFunction, construct_mate
 from golay2d.constructions import gcas_function, general_gcap_function
+from golay2d.papr import _paprs
+
+from helpers import sampled_max
 
 
 @st.composite
@@ -49,3 +55,25 @@ def test_path_functions_are_built_canonical(specs):
         assert (built.terms, built.constant) == (reference.terms, reference.constant)
         assert built == reference and hash(built) == hash(reference)
     assert construct_mate(pair)[0] == mate.to_array()
+
+
+@st.composite
+def phase_rows(draw):
+    """One to three Z_q rows of one length up to 128, and an oversampling factor."""
+    q = draw(st.sampled_from((2, 4, 6, 8, 12)))
+    L = draw(st.integers(1, 128))
+    count = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(0, q - 1), min_size=count * L, max_size=count * L))
+    return q, np.array(cells).reshape(count, L), draw(st.sampled_from((4, 5, 16, 256)))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(phase_rows())
+def test_long_rows_stay_within_the_sampling_oracle(case):
+    # The refined value is at least the best of the R*L samples it started
+    # from, and no more than the true peak: a polynomial of degree below L
+    # sampled at 4096*L points has max|S| <= max_k |S(t_k)| / cos(pi / 8192).
+    q, rows, R = case
+    values = _paprs(rows, q, R)
+    assert (values >= sampled_max(rows, q, R) * (1 - 1e-12)).all()
+    assert (values <= sampled_max(rows, q, 4096) / math.cos(math.pi / 8192) ** 2 * (1 + 1e-12)).all()

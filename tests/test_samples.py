@@ -60,3 +60,19 @@ def test_sample_specs_parse():
     for name, kind in kinds.items():
         doc = json.loads((SAMPLES / name).read_text())
         formats.parse_construction_spec(kind, doc)
+
+
+@pytest.mark.parametrize(
+    "array,spec,bounds",
+    [
+        ("gcap_basic_q4_c.csv", "gcap_basic_q4.json", (2, 2)),
+        ("gcap_general_q2_c.csv", "gcap_general_q2.json", (4, 2)),
+        # A gdj spec has no n: the pair is 1 x 2^m.
+        ("gdj_q2_a.csv", "gdj_q2.json", (2, 1)),
+    ],
+)
+def test_papr_takes_every_shipped_pair_spec(capsys, array, spec, bounds):
+    assert main(["papr", str(SAMPLES / array), "--spec", str(SAMPLES / spec), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["row_bound"], report["col_bound"]) == bounds
+    assert max(report["per_row"]) <= bounds[0] and max(report["per_col"]) <= bounds[1]

@@ -143,13 +143,7 @@ def cmd_papr(args) -> int:
     arr = formats.load_array(args.file, q=args.q)
     spec = None
     if args.spec:
-        spec_dict = _load_json(args.spec)
-        kind = "gcap-general"
-        if isinstance(spec_dict, dict) and "pi1" in spec_dict:
-            kind = "gcap-basic"
-        elif isinstance(spec_dict, dict) and "n" not in spec_dict:
-            kind = "gdj"
-        spec = formats.parse_construction_spec(kind, spec_dict)
+        spec = formats.parse_pair_spec(_load_json(args.spec))
     oversampling = args.oversample if args.oversample is not None else _default_oversampling()
     report = papr_report(arr, spec=spec, oversampling=oversampling)
     if args.json:

@@ -39,13 +39,17 @@ __all__ = [
     "correlation_table_to_json_dict",
     "correlation_table_from_json_dict",
     "parse_construction_spec",
+    "parse_pair_spec",
     "spec_to_json_dict",
     "papr_report_to_json_dict",
     "verification_to_json_dict",
     "GEN_KINDS",
+    "PAIR_KINDS",
 ]
 
 GEN_KINDS = ("gcap-basic", "gcap-general", "mate", "gcas", "gdj", "gcs1d")
+# The kinds whose spec gives the PAPR bounds of one array of a pair.
+PAIR_KINDS = ("gcap-basic", "gcap-general", "gdj")
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +285,23 @@ def parse_construction_spec(kind: str, d: dict):
         raise ValueError(f"{kind} spec is missing keys: {missing}")
     fields = {"lam" if key == "lambda" else key: value for key, value in d.items()}
     return cls(**{"n": 0, **fields})
+
+
+def parse_pair_spec(d: dict):
+    """The spec of the pair kind whose required and optional keys fit d.
+
+    The key sets of the three pair kinds exclude one another, so at most one
+    kind fits; a set spec or a dict with a stray key fits none.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"pair spec must be a JSON object, got {d!r}")
+    for kind in PAIR_KINDS:
+        _, required, optional = _SPEC_KEYS[kind]
+        if set(required) <= set(d) <= set(required) | set(optional):
+            return parse_construction_spec(kind, d)
+    raise ValueError(
+        f"spec keys {sorted(d)} fit no pair kind; choose from {', '.join(PAIR_KINDS)}"
+    )
 
 
 def spec_to_json_dict(spec) -> dict:

@@ -155,6 +155,26 @@ def test_spec_parsing_errors():
         formats.parse_construction_spec("nope", {})
 
 
+def test_pair_spec_takes_the_one_pair_kind_its_keys_fit():
+    docs = {
+        "gcap-general": {"q": 2, "n": 2, "m": 3, "pi": [3, 4, 2, 1, 5]},
+        "gcap-basic": {"q": 4, "n": 2, "m": 3, "pi1": [3, 1, 2], "pi2": [1, 2],
+                       "p": [1, 0, 0], "lambda": [0, 0], "p0": 0},
+        "gdj": {"q": 2, "m": 2, "pi": [1, 2], "p0": 1},
+    }
+    for kind, doc in docs.items():
+        assert formats.parse_pair_spec(doc) == formats.parse_construction_spec(kind, doc)
+    for doc in ({"q": 2, "n": 2, "m": 3, "blocks": [[4, 2, 5], [1, 3]]},
+                {"q": 2, "m": 3, "blocks": [[1, 2], [3]]},
+                {"q": 2, "n": 1, "m": 1},
+                {"q": 2, "n": 1, "m": 1, "pi": [1, 2], "bogus": 1}):
+        with pytest.raises(ValueError, match=r"fit no pair kind; choose from "
+                                             r"gcap-basic, gcap-general, gdj$"):
+            formats.parse_pair_spec(doc)
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        formats.parse_pair_spec([1, 2])
+
+
 def test_spec_json_round_trip():
     for spec in (golden.general_q2_spec(), golden.basic_q4_spec(), golden.gcas_q2_spec()):
         doc = formats.spec_to_json_dict(spec)

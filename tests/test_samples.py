@@ -76,3 +76,12 @@ def test_papr_takes_every_shipped_pair_spec(capsys, array, spec, bounds):
     report = json.loads(capsys.readouterr().out)
     assert (report["row_bound"], report["col_bound"]) == bounds
     assert max(report["per_row"]) <= bounds[0] and max(report["per_col"]) <= bounds[1]
+
+
+@pytest.mark.parametrize("array,spec", [("gcas_q2_0.csv", "gcas_q2.json"),
+                                        ("gcs1d_q2_0.csv", "gcs1d_q2.json")])
+def test_papr_names_the_pair_kinds_for_a_set_spec(capsys, array, spec):
+    assert main(["papr", str(SAMPLES / array), "--spec", str(SAMPLES / spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith("fit no pair kind; choose from gcap-basic, gcap-general, gdj")

@@ -11,10 +11,13 @@ all floating-point tolerance from verification; complex numbers are a
 derived, display-only view.
 
 A table over all aperiodic shifts is one int64 tensor
-counts[u1 + L1 - 1, u2 + L2 - 1, e], computed for every shift at once by
-one-hot FFT correlation and rounded to integers only under a certificate
-(see fft_error_bound).  A single value at one shift comes from the direct
-definition instead, which clips the summation bounds.
+counts[u1 + L1 - 1, u2 + L2 - 1, e], computed for every shift at once.  A
+small table, at most _DIRECT_PAIRS cell pairs, is one integer bincount over
+all pairs of cells.  A larger one comes from one-hot FFT correlation: the
+transformed planes are rounded to integers only under a certificate (see
+fft_error_bound), and the remaining planes follow from them by exact integer
+arithmetic.  A single value at one shift comes from the direct definition,
+which clips the summation bounds.
 """
 
 from __future__ import annotations
@@ -308,8 +311,12 @@ def fft_error_bound(P1: int, P2: int, q: int, cells: int) -> float:
        + eps sqrt(N) ||Hhat_e||_2) / N <= M^(3/2) (h + eps (1 + h)).
 
     The largest entry error is at most the 2-norm, so the returned
-    M^(3/2) (h + eps (1 + h)) bounds every entry.  It is about 1e-8 for
-    64 x 64 arrays and stays below 1/4 up to about 10^8 cells.
+    M^(3/2) (h + eps (1 + h)) bounds every entry of every transformed
+    plane.  It is about 1e-8 for 64 x 64 arrays and stays below 1/4 up to
+    about 10^8 cells.  The planes that _fft_tensor does not transform (the
+    reflected ones of an autocorrelation, and plane 0) are exact integer
+    arithmetic on the rounded, certified ones, so the bound covers the
+    whole tensor.
     """
     u = _UNIT_ROUNDOFF
     t = math.log2(P1 * P2)
@@ -321,31 +328,76 @@ def fft_error_bound(P1: int, P2: int, q: int, cells: int) -> float:
     return cells ** 1.5 * (h + eps * (1 + h))
 
 
-def _count_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
-    """Exact counts[u1 + L1 - 1, u2 + L2 - 1, e] of xi^(c[g+u1, i+u2] - d[g, i]).
+# Tables with at most this many cell pairs, (L1*L2)^2, are counted directly
+# by one bincount over all pairs; larger ones by FFT.  Per table on 2 cores
+# with one BLAS thread, at L1*L2 = 128 the direct count took about 130 us
+# against 165-390 us for the FFT kernel (q in {2, 4, 8}, auto and cross); at
+# 160 cells the FFT kernel was already faster at q = 2, and at 256 cells at
+# every q.
+_DIRECT_PAIRS = 1 << 14
 
-    One-hot FFT correlation: the planes [c == a] and [d == b] are
-    transformed once each (an autocorrelation reuses c's transforms), the
-    spectrum of exponent e is sum_b C_(b+e) conj(D_b), and one batch of
-    inverse transforms gives every count plane.  The floats are rounded only
-    under a certificate: the a-priori bound of fft_error_bound and the
-    observed distance to the nearest integers must both lie below 1/4, and
-    ArithmeticError is raised otherwise.
+
+@lru_cache(maxsize=32)
+def _pair_shifts(L1: int, L2: int) -> np.ndarray:
+    """Shift index (u1 + L1 - 1) * (2*L2 - 1) + u2 + L2 - 1 of every cell pair.
+
+    Entry [x, y] belongs to cell x of the shifted array and cell y of the
+    other, both row-major, whose shift is u = x - y.  Read-only; at most
+    _DIRECT_PAIRS entries, and the cache holds a bounded number of shapes.
+    """
+    g, i = np.divmod(np.arange(L1 * L2), L2)
+    rows = np.subtract.outer(g, g) + (L1 - 1)
+    cols = np.subtract.outer(i, i) + (L2 - 1)
+    index = rows * (2 * L2 - 1) + cols
+    index.setflags(write=False)
+    return index
+
+
+def _direct_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
+    """The count tensor by the definition: one bincount over all cell pairs.
+
+    The pair (x, y) adds one to bin (shift index) * q + (c[x] - d[y]) mod q.
+    Integer arithmetic only, so nothing needs a certificate.
     """
     q, L1, L2 = c.q, c.L1, c.L2
+    keys = _pair_shifts(L1, L2) * q
+    keys += np.subtract.outer(c.entries.ravel(), d.entries.ravel()) % q
+    counts = np.bincount(keys.ravel(), minlength=(2 * L1 - 1) * (2 * L2 - 1) * q)
+    return counts.reshape(2 * L1 - 1, 2 * L2 - 1, q)
+
+
+def _fft_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
+    """The count tensor by one-hot FFT correlation, rounded under a certificate.
+
+    The planes [c == a] and [d == b] are transformed once each (an
+    autocorrelation reuses c's transforms), the spectrum of exponent e is
+    H_e = sum_b C_(b+e) conj(D_b), taken for all the needed e in one
+    einsum, and one batch of inverse transforms gives those count planes.
+    Only e >= 1 are transformed, and for an autocorrelation only
+    e = 1..q/2, because counts_(-e)(u) = counts_e(-u) there.  The other
+    planes follow exactly from the transformed ones: the point reflection
+    of the shift grid gives e > q/2, and plane 0 is the overlap
+    (L1 - |u1|)(L2 - |u2|) less the sum of the others.  The floats are
+    rounded only under a certificate: the a-priori bound of fft_error_bound
+    and the observed distance to the nearest integers must both lie below
+    1/4, and ArithmeticError is raised otherwise.
+    """
+    q, L1, L2 = c.q, c.L1, c.L2
+    auto = d is c
     shape = (_transform_size(L1), _transform_size(L2))
     levels = np.arange(q)[:, None, None]
     fc = np.fft.rfft2(c.entries == levels, s=shape)
-    fd = (fc if d is c else np.fft.rfft2(d.entries == levels, s=shape)).conj()
-    # Row e of cyclic is (b + e) mod q for b = 0..q-1, so fc[cyclic[e]][b] is C_(b+e).
-    cyclic = np.add.outer(np.arange(q), np.arange(q)) % q
-    spectra = np.stack([np.einsum("bij,bij->ij", fc[cyclic[e]], fd) for e in range(q)])
+    fd = (fc if auto else np.fft.rfft2(d.entries == levels, s=shape)).conj()
+    last = q // 2 if auto else q - 1
+    # Window e of the stack C_0..C_(q-1), C_0..C_(q-2) is C_e..C_(e+q-1), so
+    # entry [e, :, :, b] of this view is C_(b+e) without a copy per exponent.
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([fc, fc[:-1]]), q, axis=0)
+    spectra = np.einsum("eijb,bij->eij", windows[1:last + 1], fd)
     planes = np.fft.irfft2(spectra, s=shape)
-    rows = np.arange(1 - L1, L1) % shape[0]
-    cols = np.arange(1 - L2, L2) % shape[1]
-    planes = planes[:, rows[:, None], cols[None, :]]
-    counts = np.rint(planes)
-    deviation = float(np.abs(planes - counts).max())
+    u1, u2 = np.arange(1 - L1, L1), np.arange(1 - L2, L2)
+    planes = planes[:, (u1 % shape[0])[:, None], (u2 % shape[1])[None, :]]
+    rounded = np.rint(planes)
+    deviation = float(np.abs(planes - rounded).max())
     bound = fft_error_bound(shape[0], shape[1], q, L1 * L2)
     if not (bound < _CERTIFIED and deviation < _CERTIFIED):
         raise ArithmeticError(
@@ -353,7 +405,25 @@ def _count_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
             f"bound {bound:.3g}, observed distance to integers {deviation:.3g}; "
             f"both must be below {_CERTIFIED}"
         )
-    return counts.astype(np.int64).transpose(1, 2, 0)
+    counts = np.empty((q, 2 * L1 - 1, 2 * L2 - 1), dtype=np.int64)
+    counts[1:last + 1] = rounded
+    if auto:
+        # Plane q - e is plane e at the opposite shift, for e = q/2 - 1 down to 1.
+        counts[q // 2 + 1:] = counts[q // 2 - 1:0:-1, ::-1, ::-1]
+    counts[0] = np.outer(L1 - np.abs(u1), L2 - np.abs(u2)) - counts[1:].sum(axis=0)
+    return counts.transpose(1, 2, 0)
+
+
+def _count_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
+    """Exact counts[u1 + L1 - 1, u2 + L2 - 1, e] of xi^(c[g+u1, i+u2] - d[g, i]).
+
+    A table of at most _DIRECT_PAIRS cell pairs is counted directly
+    (_direct_tensor); a larger one by FFT under a certificate (_fft_tensor).
+    Both give the same integers.
+    """
+    if (c.L1 * c.L2) ** 2 <= _DIRECT_PAIRS:
+        return _direct_tensor(c, d)
+    return _fft_tensor(c, d)
 
 
 class CorrelationTable:
@@ -420,7 +490,7 @@ class CorrelationTable:
 
 
 def auto_correlation_table(c: QaryArray) -> CorrelationTable:
-    """Full autocorrelation table from one set of forward transforms of c."""
+    """Full autocorrelation table; a large one reuses c's forward transforms."""
     return CorrelationTable(c.q, c.L1, c.L2, _count_tensor(c, c))
 
 

@@ -16,7 +16,13 @@ from golay2d import (
     cross_correlation_table,
     cyclotomic_polynomial,
 )
-from golay2d.correlation import _complex_values, fft_error_bound, reduction_matrix
+from golay2d.correlation import (
+    _complex_values,
+    _direct_tensor,
+    _fft_tensor,
+    fft_error_bound,
+    reduction_matrix,
+)
 
 import golden
 from helpers import naive_cross_correlation, random_array
@@ -211,10 +217,16 @@ def _assert_tensor_is_direct(table, c, d):
         assert tuple(table.counts[u1 + c.L1 - 1, u2 + c.L2 - 1]) == direct, (u1, u2)
 
 
+# Shapes counted directly, (L1*L2)^2 <= _DIRECT_PAIRS, and shapes past it
+# that take the FFT kernel.  Both cover 1-wide, prime and other
+# non-power-of-two sides.
+DIRECT_SHAPES = [(1, 1), (1, 9), (9, 1), (3, 7), (5, 6), (9, 9), (8, 16), (1, 128)]
+FFT_SHAPES = [(1, 200), (11, 13), (12, 12), (17, 9), (1, 129)]
+
+
 def test_count_tensor_equals_direct_definition():
     rng = np.random.default_rng(2024)
-    # Fixed shapes cover 1-wide, prime and other non-power-of-two sides.
-    shapes = [(1, 1), (1, 9), (9, 1), (3, 7), (5, 6), (9, 9)]
+    shapes = DIRECT_SHAPES + FFT_SHAPES
     shapes += [tuple(int(v) for v in rng.integers(1, 10, 2)) for _ in range(4)]
     for q in TENSOR_QS:
         for L1, L2 in shapes:
@@ -224,14 +236,44 @@ def test_count_tensor_equals_direct_definition():
             _assert_tensor_is_direct(cross_correlation_table(c, d), c, d)
 
 
+def test_both_kernels_agree_on_small_shapes():
+    # Below the threshold the FFT kernel, with its reflected and
+    # overlap-derived planes, must still give the bincount's integers.
+    rng = np.random.default_rng(77)
+    for q in TENSOR_QS:
+        for L1, L2 in DIRECT_SHAPES:
+            c = random_array(rng, q=q, L1=L1, L2=L2)
+            d = random_array(rng, q=q, L1=L1, L2=L2)
+            for other in (c, d):
+                assert np.array_equal(_fft_tensor(c, other), _direct_tensor(c, other)), (q, L1, L2)
+
+
+def test_small_tables_need_no_transform(monkeypatch):
+    def no_fft(*args, **kwargs):
+        raise AssertionError("a small table reached the FFT")
+
+    monkeypatch.setattr(np.fft, "rfft2", no_fft)
+    monkeypatch.setattr(np.fft, "irfft2", no_fft)
+    rng = np.random.default_rng(5)
+    for q, (L1, L2) in zip(TENSOR_QS * 2, DIRECT_SHAPES):
+        c = random_array(rng, q=q, L1=L1, L2=L2)
+        d = random_array(rng, q=q, L1=L1, L2=L2)
+        _assert_tensor_is_direct(auto_correlation_table(c), c, c)
+        _assert_tensor_is_direct(cross_correlation_table(c, d), c, d)
+
+
 def test_count_tensor_uncertified_rounding_raises(monkeypatch):
-    arr = random_array(np.random.default_rng(1), q=4, L1=3, L2=5)
+    # 11 x 13 is past the direct-count threshold, so the tables go through irfft2.
+    rng = np.random.default_rng(1)
+    arr, other = (random_array(rng, q=4, L1=11, L2=13) for _ in range(2))
     inverse = np.fft.irfft2
     monkeypatch.setattr(np.fft, "irfft2", lambda *args, **kwargs: inverse(*args, **kwargs) + 0.3)
     with pytest.raises(ArithmeticError):
         auto_correlation_table(arr)
     with pytest.raises(ArithmeticError):
         cross_correlation_table(arr, arr)
+    with pytest.raises(ArithmeticError):
+        cross_correlation_table(arr, other)
 
 
 def test_fft_error_bound_certifies_practical_sizes():

@@ -4,9 +4,20 @@ import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from golay2d import GcapGeneralSpec, GcasSpec, GeneralizedBooleanFunction, construct_mate
+from golay2d import (
+    GcapGeneralSpec,
+    GcasSpec,
+    GeneralizedBooleanFunction,
+    QaryArray,
+    auto_correlation_table,
+    construct_mate,
+    cross_correlation,
+    cross_correlation_table,
+)
 from golay2d.constructions import gcas_function, general_gcap_function
+from golay2d.correlation import _DIRECT_PAIRS
 from golay2d.papr import _paprs
 
 from helpers import sampled_max
@@ -77,3 +88,28 @@ def test_long_rows_stay_within_the_sampling_oracle(case):
     values = _paprs(rows, q, R)
     assert (values >= sampled_max(rows, q, R) * (1 - 1e-12)).all()
     assert (values <= sampled_max(rows, q, 4096) / math.cos(math.pi / 8192) ** 2 * (1 + 1e-12)).all()
+
+
+@st.composite
+def array_pairs_and_shifts(draw):
+    """Two Z_q arrays of one shape and a few shifts.  The shape lies on either
+    side of the direct-count threshold, so both count-tensor kernels are drawn."""
+    q = draw(st.sampled_from((2, 4, 6, 8, 12)))
+    L1 = draw(st.integers(1, 16))
+    most = math.isqrt(_DIRECT_PAIRS) // L1
+    L2 = draw(st.integers(most + 1, most + 16) if draw(st.booleans()) else st.integers(1, most))
+    c, d = (draw(arrays(np.int64, (L1, L2), elements=st.integers(0, q - 1))) for _ in range(2))
+    shift = st.tuples(st.integers(1 - L1, L1 - 1), st.integers(1 - L2, L2 - 1))
+    return QaryArray(q, c), QaryArray(q, d), draw(st.lists(shift, min_size=1, max_size=8))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(array_pairs_and_shifts())
+def test_count_tensors_follow_the_definition(case):
+    c, d, shifts = case
+    L1, L2 = c.L1, c.L2
+    overlap = np.outer(L1 - np.abs(np.arange(1 - L1, L1)), L2 - np.abs(np.arange(1 - L2, L2)))
+    for table, other in ((auto_correlation_table(c), c), (cross_correlation_table(c, d), d)):
+        for u1, u2 in shifts:
+            assert tuple(table.counts[u1 + L1 - 1, u2 + L2 - 1]) == cross_correlation(c, other, u1, u2).counts
+        assert np.array_equal(table.counts.sum(axis=2), overlap)

@@ -8,6 +8,7 @@ from golay2d import (
     construct_gcap_general,
     construct_gcas,
     construct_mate,
+    count_general_gcaps,
     cross_correlation_table,
     enumerate_general_gcaps,
     gcs_1d,
@@ -147,6 +148,21 @@ def test_brute_force_contains_all_constructions_2x4():
     oracle = {(c, d) for c, d in brute_force_gcaps(2, 2, 4)}
     for _, pair in enumerate_general_gcaps(2, 1, 2):
         assert pair in oracle
+
+
+@pytest.mark.parametrize(
+    "q, L1, L2, ordered, distinct",
+    [(2, 4, 4, 1536, 384), (2, 2, 8, 1536, 384), (4, 2, 4, 6144, 768)],
+)
+def test_census_of_all_65536_arrays(q, L1, L2, ordered, distinct):
+    # Every ordered complementary pair of the size, found by exhaustive search.
+    pairs = brute_force_gcaps(q, L1, L2, budget=q ** (2 * L1 * L2))
+    found = {(c.entries.tobytes(), d.entries.tobytes()) for c, d in pairs}
+    assert len(pairs) == len(found) == ordered
+    n, m = L1.bit_length() - 1, L2.bit_length() - 1
+    assert len({first for first, _ in found}) == distinct == count_general_gcaps(q, n, m)
+    for _, (c, d) in enumerate_general_gcaps(q, n, m):
+        assert (c.entries.tobytes(), d.entries.tobytes()) in found
 
 
 def test_brute_force_closures():

@@ -18,6 +18,15 @@ transformed planes are rounded to integers only under a certificate (see
 fft_error_bound), and the remaining planes follow from them by exact integer
 arithmetic.  A single value at one shift comes from the direct definition,
 which clips the summation bounds.
+
+A check that summed correlations vanish need not count them.  At each shift
+the sum less its expected value is an algebraic integer alpha of Z[xi_q],
+and a nonzero alpha has a nonzero integer norm, the product of
+|sigma_j(alpha)| over the j coprime to q.  _spectral_pass computes
+sigma_j(alpha) at every shift by one complex FFT correlation of xi^(j c)
+per embedding j <= q/2, and certifies alpha = 0 everywhere when every
+computed value and the a-priori bound of spectral_error_bound lie below
+1/2.  It builds no count tensor.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ __all__ = [
     "cyclotomic_polynomial",
     "reduction_matrix",
     "fft_error_bound",
+    "spectral_error_bound",
     "CorrelationValue",
     "CorrelationTable",
     "cross_correlation",
@@ -318,13 +328,26 @@ def fft_error_bound(P1: int, P2: int, q: int, cells: int) -> float:
     arithmetic on the rounded, certified ones, so the bound covers the
     whole tensor.
     """
+    return _correlation_error(P1, P2, cells, 0.0, _gamma(q + 2))
+
+
+def _correlation_error(P1: int, P2: int, cells: int, input_error: float, product_error: float) -> float:
+    """The error bound of one FFT correlation of arrays with M = cells entries.
+
+    Both bounds in this module are this derivation: forward transforms of
+    inputs off by input_error relative to their exact values, entrywise
+    products rounded with product_error relative to the sum of their
+    magnitudes, and one inverse transform.  With input_error = 0 it is
+    exactly fft_error_bound's formula.
+    """
     u = _UNIT_ROUNDOFF
     t = math.log2(P1 * P2)
     mu = _TWIDDLE_ULPS * u
     eta = mu + _gamma(4) * (math.sqrt(2) + mu)
     eps = t * eta / (1 - t * eta)
-    K = 1 + eps * math.sqrt(P1 * P2)
-    h = eps * (K + 1) + _gamma(q + 2) * (1 + eps) * K
+    f = input_error + eps * (1 + input_error)
+    K = 1 + f * math.sqrt(P1 * P2)
+    h = f * (K + 1) + product_error * (1 + f) * K
     return cells ** 1.5 * (h + eps * (1 + h))
 
 
@@ -411,7 +434,7 @@ def _fft_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
         # Plane q - e is plane e at the opposite shift, for e = q/2 - 1 down to 1.
         counts[q // 2 + 1:] = counts[q // 2 - 1:0:-1, ::-1, ::-1]
     counts[0] = np.outer(L1 - np.abs(u1), L2 - np.abs(u2)) - counts[1:].sum(axis=0)
-    return counts.transpose(1, 2, 0)
+    return np.ascontiguousarray(counts.transpose(1, 2, 0))
 
 
 def _count_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
@@ -419,11 +442,121 @@ def _count_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
 
     A table of at most _DIRECT_PAIRS cell pairs is counted directly
     (_direct_tensor); a larger one by FFT under a certificate (_fft_tensor).
-    Both give the same integers.
+    Both give the same integers, in a fresh C-ordered int64 array.
     """
     if (c.L1 * c.L2) ** 2 <= _DIRECT_PAIRS:
         return _direct_tensor(c, d)
     return _fft_tensor(c, d)
+
+
+# Allowance for a computed root of unity, in units of u: cmath.exp at the
+# float64 angle 2*pi*k/q, whose three roundings move an angle below 2*pi by
+# at most 19 u, with an ulp each for cos and sin.
+_ROOT_ULPS = 32
+
+
+def spectral_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> float:
+    """A-priori bound for the decisions of the spectral pass (_spectral_pass).
+
+    The pass correlates z = xi^(j c) for each of N = members pairs of
+    arrays of M = cells entries, by power-of-two float64 transforms of size
+    P1 x P2 (P = P1*P2): forward transforms Z, the spectrum
+    S = sum_k Z_(c_k) conj(Z_(d_k)), one inverse transform r = F^-1 S, and
+    r - C at the origin.  The FFT model and eps, g_k are fft_error_bound's.
+
+    1. Inputs.  Every cell of z has |z| = 1, so ||z||_2 = sqrt(M) and
+       ||Z||_inf <= M.  A computed root is exact for q in {2, 4} and within
+       d = _ROOT_ULPS u otherwise, so ||Zhat - Z||_2 <= sqrt(P M) f with
+       f = d + eps (1 + d), and ||Zhat||_inf <= K M with K = 1 + f sqrt(P),
+       as sqrt(M) <= M.
+    2. Spectrum.  Per pair, the computed inputs move Z_c conj(Z_d) by at
+       most sqrt(P) M^(3/2) f (K + 1) in 2-norm.  A complex product is
+       rounded within sqrt(2) g_2 of its modulus (a |Z|^2 within g_2), and
+       the sum over the N pairs within g_N of the sum of the moduli, so
+       g = sqrt(2) g_2 + g_N (1 + sqrt(2) g_2) adds at most
+       g (1 + f) K sqrt(P) M^(3/2) per pair.  Hence
+       ||Shat - S||_2 <= N sqrt(P) M^(3/2) h, h = f (K + 1) + g (1 + f) K.
+    3. Inverse.  Each pair's correlation has 2-norm
+       ||Z_c conj(Z_d)||_2 / sqrt(P) <= M^(3/2), so ||r||_2 <= N M^(3/2)
+       and, as in fft_error_bound step 3, every entry of the computed r is
+       within B = N M^(3/2) (h + eps (1 + h)) of the exact one.
+    4. Decision.  Subtracting the integer centre rounds once and |.| (hypot)
+       adds about an ulp, so a computed modulus v has
+       |rhat - C| <= v / (1 - g_3).  The returned bound is B + g_3: when it
+       is below 1/2 and v < 1/2, the exact value is below
+       1 / (2 (1 - g_3)) + 1/2 - g_3 < 1.
+
+    rfft2/irfft2 (q = 2, real z) are taken to obey the same bound, as in
+    fft_error_bound.  It is about 2e-8 for a pair of 64 x 64 arrays.
+    """
+    root = 0.0 if 4 % q == 0 else _ROOT_ULPS * _UNIT_ROUNDOFF
+    product = math.sqrt(2) * _gamma(2)
+    product += _gamma(members) * (1 + product)
+    return members * _correlation_error(P1, P2, cells, root, product) + _gamma(3)
+
+
+def _embeddings(q: int) -> list[int]:
+    """The j coprime to q with 1 <= j <= q/2: sigma_(q-j) is the conjugate of sigma_j."""
+    return [j for j in range(1, q // 2 + 1) if math.gcd(j, q) == 1]
+
+
+@lru_cache(maxsize=None)
+def _embedding_roots(q: int, j: int) -> np.ndarray:
+    """sigma_j(xi^e) = xi^(j e) for e in Z_q; real for q = 2.  Read-only; cached.
+
+    Roots at a multiple of a quarter turn are exact, the others cmath's
+    (see _ROOT_ULPS).
+    """
+    roots = []
+    for e in range(q):
+        k = j * e % q
+        roots.append((1, 1j, -1, -1j)[4 * k // q] if 4 * k % q == 0
+                     else cmath.exp(2j * cmath.pi * k / q))
+    table = np.array(roots, dtype=np.float64 if q == 2 else np.complex128)
+    table.setflags(write=False)
+    return table
+
+
+def _spectral_pass(pairs, expected_center: int) -> bool:
+    """Whether the summed correlations certifiably equal expected_center at (0, 0) and 0 elsewhere.
+
+    pairs lists (c, d) arrays of one alphabet and shape, c the shifted one
+    as in cross_correlation.  At each shift the summed correlation minus
+    the expected value is an algebraic integer alpha of Z[xi_q].  If alpha
+    is not zero, its norm, the product of |sigma_j(alpha)| over the j
+    coprime to q, is a nonzero rational integer, so some |sigma_j(alpha)|
+    is at least 1.  sigma_j(alpha) at every shift at once is one FFT
+    correlation of xi^(j c) and xi^(j d), summed over the pairs, less the
+    centre; sigma_(q-j) is its conjugate, so _embeddings(q) suffice.  Each
+    computed value is within spectral_error_bound of the exact one, so
+    when that bound and every computed |sigma_j| lie below 1/2, every
+    alpha is zero.  Arrays that occur in several pairs are transformed
+    once; q = 2 uses rfft2.  False means only that the pass did not
+    certify: some computed value reached 1/2, or the bound is too large.
+    """
+    c = pairs[0][0]
+    q, L1, L2 = c.q, c.L1, c.L2
+    shape = (_transform_size(L1), _transform_size(L2))
+    if not spectral_error_bound(*shape, q, L1 * L2, len(pairs)) < 0.5:
+        return False
+    arrays = list({id(a): a for pair in pairs for a in pair}.values())
+    slot = {id(a): k for k, a in enumerate(arrays)}
+    left = [slot[id(a)] for a, _ in pairs]
+    right = [slot[id(b)] for _, b in pairs]
+    block = np.stack([a.entries for a in arrays])
+    forward, inverse = (np.fft.rfft2, np.fft.irfft2) if q == 2 else (np.fft.fft2, np.fft.ifft2)
+    for j in _embeddings(q):
+        spectra = forward(_embedding_roots(q, j)[block], s=shape)
+        x = spectra[left]
+        if left == right:
+            products = x.real ** 2 + x.imag ** 2
+        else:
+            products = x * spectra[right].conj()
+        values = inverse(products.sum(axis=0), s=shape)
+        values[0, 0] -= expected_center
+        if not np.abs(values).max() < 0.5:
+            return False
+    return True
 
 
 class CorrelationTable:
@@ -448,6 +581,20 @@ class CorrelationTable:
             raise ValueError(f"counts must have shape {shape}, got {arr.shape}")
         arr.setflags(write=False)
         self.counts = arr
+
+    @classmethod
+    def _trusted(cls, q: int, L1: int, L2: int, counts: np.ndarray) -> "CorrelationTable":
+        """Wrap a count tensor this module built, without checking it.
+
+        The caller guarantees what __init__ would establish: q is even and
+        at least 2, L1 and L2 are positive ints, and counts is a C-ordered
+        int64 array of shape (2*L1 - 1, 2*L2 - 1, q) that nothing else
+        holds.  It is made read-only here.
+        """
+        table = object.__new__(cls)
+        counts.setflags(write=False)
+        table.q, table.L1, table.L2, table.counts = q, L1, L2, counts
+        return table
 
     def value(self, u1: int, u2: int) -> CorrelationValue:
         u1, u2 = _int(u1, "u1"), _int(u2, "u2")
@@ -475,7 +622,7 @@ class CorrelationTable:
             return NotImplemented
         if (self.q, self.L1, self.L2) != (other.q, other.L1, other.L2):
             raise ValueError("tables have different shape or alphabet")
-        return CorrelationTable(self.q, self.L1, self.L2, self.counts + other.counts)
+        return CorrelationTable._trusted(self.q, self.L1, self.L2, self.counts + other.counts)
 
     def __eq__(self, other):
         if not isinstance(other, CorrelationTable):
@@ -491,13 +638,13 @@ class CorrelationTable:
 
 def auto_correlation_table(c: QaryArray) -> CorrelationTable:
     """Full autocorrelation table; a large one reuses c's forward transforms."""
-    return CorrelationTable(c.q, c.L1, c.L2, _count_tensor(c, c))
+    return CorrelationTable._trusted(c.q, c.L1, c.L2, _count_tensor(c, c))
 
 
 def cross_correlation_table(c: QaryArray, d: QaryArray) -> CorrelationTable:
     """Full cross-correlation table, c shifted as in cross_correlation."""
     _require_uniform([c, d])
-    return CorrelationTable(c.q, c.L1, c.L2, _count_tensor(c, d))
+    return CorrelationTable._trusted(c.q, c.L1, c.L2, _count_tensor(c, d))
 
 
 def correlation_sum(values, q: int | None = None) -> CorrelationValue:

@@ -4,7 +4,15 @@ A set of arrays is complementary when its autocorrelations sum to zero at
 every nonzero shift and to N*L1*L2 at the origin; two complementary pairs
 are mates when their pairwise cross-correlations cancel at every shift, the
 origin included.  All decisions here are exact: sums of correlation values
-are tested for zero algebraically, never through floating point.
+are tested for zero algebraically, never through a float tolerance.
+
+Every checker goes through one check kernel.  A check of at most
+_DIRECT_PAIRS cell pairs sums exact count tensors and compares them,
+reduced modulo the cyclotomic polynomial, with the expected centre.  A
+larger one first tries the norm-certified spectral pass of
+correlation._spectral_pass, which builds no count tensor; when it cannot
+certify a pass, the check falls back to the count tensors, so every
+violation list and its values come from them.
 """
 
 from __future__ import annotations
@@ -15,9 +23,13 @@ import numpy as np
 
 from .boolfunc import QaryArray, _at_least, _require_uniform, require_even_q
 from .correlation import (
+    _DIRECT_PAIRS,
     CorrelationValue,
     _complex_values,
+    _spectral_pass,
     auto_correlation_table,
+    correlation_sum,
+    cross_correlation,
     cross_correlation_table,
     reduction_matrix,
 )
@@ -64,8 +76,31 @@ def _expected_reduced(q: int, L1: int, L2: int, expected_center: int) -> np.ndar
     return expected
 
 
-def _check_sum(tables, expected_center, max_violations, notes=()):
-    """The one check kernel: the reduced sum of the tables equals the expected centre."""
+def _check(pairs, expected_center, max_violations, notes=()):
+    """The one check kernel: the summed correlations of the pairs equal the expected centre.
+
+    pairs lists (c, d) arrays, c the shifted one as in cross_correlation;
+    (a, a) stands for a's autocorrelation.  A check above _DIRECT_PAIRS
+    that the spectral pass certifies builds no table: its centre is
+    N*L1*L2 for autocorrelations and the direct counts at (0, 0)
+    otherwise, the same counts the tensors hold.  Every other check is
+    _tensor_check's.
+    """
+    c = pairs[0][0]
+    if (c.L1 * c.L2) ** 2 > _DIRECT_PAIRS and _spectral_pass(pairs, expected_center):
+        if all(a is b for a, b in pairs):
+            center = CorrelationValue.from_int(len(pairs) * c.L1 * c.L2, c.q)
+        else:
+            center = correlation_sum([cross_correlation(a, b, 0, 0) for a, b in pairs])
+        return VerificationResult(not notes, (), center, expected_center, False, tuple(notes))
+    return _tensor_check(pairs, expected_center, max_violations, notes)
+
+
+def _tensor_check(pairs, expected_center, max_violations, notes=()):
+    """The check by count tensors: the reduced sum of the tables equals the expected centre."""
+    tables = [
+        auto_correlation_table(a) if a is b else cross_correlation_table(a, b) for a, b in pairs
+    ]
     total = sum(tables[1:], tables[0])
     q, L1, L2 = total.q, total.L1, total.L2
     bad = (total.reduced() != _expected_reduced(q, L1, L2, expected_center)).any(axis=-1)
@@ -88,7 +123,7 @@ def is_gcas(arrays, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Verificatio
     max_violations = _at_least(max_violations, 0, "max_violations")
     arrays = _require_uniform(arrays)
     expected = len(arrays) * arrays[0].L1 * arrays[0].L2
-    return _check_sum([auto_correlation_table(a) for a in arrays], expected, max_violations)
+    return _check([(a, a) for a in arrays], expected, max_violations)
 
 
 def is_gcap(c: QaryArray, d: QaryArray, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> VerificationResult:
@@ -131,8 +166,7 @@ def is_mate(pair1, pair2, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Verif
         notes.append("first pair fails the complementary-pair condition")
     if not is_gcap(c2, d2, max_violations=0).passed:
         notes.append("second pair fails the complementary-pair condition")
-    tables = [cross_correlation_table(c, c2), cross_correlation_table(d, d2)]
-    return _check_sum(tables, 0, max_violations, notes)
+    return _check([(c, c2), (d, d2)], 0, max_violations, notes)
 
 
 def brute_force_gcaps(q, L1, L2, budget: int = DEFAULT_PAIR_BUDGET):

@@ -20,8 +20,10 @@ from golay2d.correlation import (
     _complex_values,
     _direct_tensor,
     _fft_tensor,
+    _spectral_pass,
     fft_error_bound,
     reduction_matrix,
+    spectral_error_bound,
 )
 
 import golden
@@ -284,6 +286,33 @@ def test_fft_error_bound_certifies_practical_sizes():
     assert fft_error_bound(1 << 16, 1 << 16, 12, 1 << 30) > 0.25
 
 
+def test_spectral_error_bound_certifies_practical_sizes():
+    assert spectral_error_bound(128, 128, 2, 64 * 64, 2) < 1e-7
+    assert spectral_error_bound(256, 256, 12, 128 * 128, 8) < 1e-5
+    assert spectral_error_bound(2048, 2048, 8, 1024 * 1024, 4) < 1e-3
+    assert spectral_error_bound(1, 1, 2, 1, 1) < 1e-15
+    assert spectral_error_bound(1 << 16, 1 << 16, 12, 1 << 30, 2) > 0.5
+    # Inexact roots and more members cost more.
+    assert spectral_error_bound(128, 128, 8, 4096, 2) > spectral_error_bound(128, 128, 4, 4096, 2)
+    assert spectral_error_bound(128, 128, 4, 4096, 4) > spectral_error_bound(128, 128, 4, 4096, 2)
+
+
+def test_spectral_pass_needs_every_embedding():
+    # At the one shift of 1 x 1 arrays the summed cross-correlation is any
+    # sum of roots of unity.  sqrt(2) - 1 in Z[xi_8] and sqrt(3) - 2 in
+    # Z[xi_12] are nonzero but below 1/2 under sigma_1; sigma_3 and sigma_5
+    # show them.
+    def pairs(q, exponents):
+        zero = QaryArray(q, [[0]])
+        return [(QaryArray(q, [[e]]), zero) for e in exponents]
+
+    for q, exponents in ((8, (1, 7, 4)), (12, (1, 11, 6, 6))):
+        assert abs(sum(cmath.exp(2j * cmath.pi * e / q) for e in exponents)) < 0.5
+        assert not _spectral_pass(pairs(q, exponents), 0)
+        cancelled = exponents + tuple((e + q // 2) % q for e in exponents)
+        assert _spectral_pass(pairs(q, cancelled), 0)
+
+
 def test_reduction_matrix():
     assert reduction_matrix(2).tolist() == [[1], [-1]]
     assert reduction_matrix(4).tolist() == [[1, 0], [0, 1], [-1, 0], [0, -1]]
@@ -321,6 +350,30 @@ def test_table_views_sum_and_equality():
         CorrelationTable(4, 3, 4, tc.counts.astype(float))
     with pytest.raises(ValueError):
         tc.counts[0, 0, 0] = 5
+
+
+def test_public_table_constructor_keeps_its_checks():
+    # The kernels and + wrap their own tensors unchecked; what a caller
+    # passes to the constructor is still checked.
+    rng = np.random.default_rng(41)
+    big, small = random_array(rng, q=4, L1=11, L2=13), random_array(rng, q=4, L1=3, L2=4)
+    for table in (
+        auto_correlation_table(big),
+        cross_correlation_table(big, big),
+        auto_correlation_table(small),
+        auto_correlation_table(small) + auto_correlation_table(small),
+    ):
+        counts = table.counts
+        assert counts.dtype == np.int64 and counts.flags.c_contiguous and not counts.flags.writeable
+        assert CorrelationTable(table.q, table.L1, table.L2, counts) == table
+    counts = auto_correlation_table(small).counts
+    for q, arr, match in (
+        (4, counts.astype(float), "integers"),
+        (4, counts[:, :, :2], "shape"),
+        (True, counts, "q"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            CorrelationTable(q, 3, 4, arr)
 
 
 def _scalar_complex(q, counts) -> complex:

@@ -1,6 +1,7 @@
 """Property tests: Hypothesis draws the inputs, derandomized so every run sees the same ones."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -12,12 +13,18 @@ from golay2d import (
     GeneralizedBooleanFunction,
     QaryArray,
     auto_correlation_table,
+    construct_gcap_general,
+    construct_gcas,
     construct_mate,
     cross_correlation,
     cross_correlation_table,
+    is_gcap,
+    is_gcas,
+    is_mate,
+    verify,
 )
 from golay2d.constructions import gcas_function, general_gcap_function
-from golay2d.correlation import _DIRECT_PAIRS
+from golay2d.correlation import _DIRECT_PAIRS, _spectral_pass
 from golay2d.papr import _paprs
 
 from helpers import sampled_max
@@ -113,3 +120,67 @@ def test_count_tensors_follow_the_definition(case):
         for u1, u2 in shifts:
             assert tuple(table.counts[u1 + L1 - 1, u2 + L2 - 1]) == cross_correlation(c, other, u1, u2).counts
         assert np.array_equal(table.counts.sum(axis=2), overlap)
+
+
+# Non-power-of-two shapes past the direct-count size, and shapes within it.
+RANDOM_SHAPES = ((11, 13), (12, 12), (17, 9), (1, 200), (3, 5), (8, 16), (1, 128), (7, 7))
+
+
+@st.composite
+def checks(draw):
+    """(kind, arrays) for a pair, set or mate check: construction inputs, each
+    with or without one changed cell, or a random pair.  Constructions have
+    2^(n+m) cells, past the direct-count size from n + m = 8."""
+    q = draw(st.sampled_from((2, 4, 6, 8, 12)))
+    kind = draw(st.sampled_from(("pair", "set", "mate", "random")))
+    if kind == "random":
+        shape = draw(st.sampled_from(RANDOM_SHAPES))
+        cells = st.integers(0, q - 1)
+        return kind, [QaryArray(q, draw(arrays(np.int64, shape, elements=cells))) for _ in range(2)]
+    size = draw(st.integers(8, 9) if draw(st.booleans()) else st.integers(2, 7))
+    n = draw(st.integers(0, min(size, 4)))
+    m = size - n
+    order = draw(st.permutations(range(1, size + 1)))
+    p = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+    p0 = draw(st.integers(0, q - 1))
+    if kind == "set":
+        cuts = sorted(draw(st.sets(st.integers(1, size - 1), max_size=2)))
+        bounds = [0, *cuts, size]
+        blocks = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+        members = list(construct_gcas(GcasSpec(q, n, m, blocks, p, p0)))
+    else:
+        spec = GcapGeneralSpec(q, n, m, order, p, p0)
+        members = list(construct_gcap_general(spec))
+        if kind == "mate":
+            members += construct_mate(spec)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(members) - 1))
+        entries = members[k].entries.copy()
+        g, i = draw(st.integers(0, entries.shape[0] - 1)), draw(st.integers(0, entries.shape[1] - 1))
+        entries[g, i] = (entries[g, i] + draw(st.integers(1, q - 1))) % q
+        members[k] = QaryArray(q, entries)
+    return kind, members
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(checks())
+def test_spectral_pass_agrees_with_the_tensors(case):
+    # The spectral decision equals the exact one on both sides of the
+    # direct-count size, and a checker's result, spectral or not, equals
+    # the one the count tensors alone give, centre counts included.
+    kind, members = case
+    if kind == "mate":
+        c, d, c2, d2 = members
+        pairs, expected = [(c, c2), (d, d2)], 0
+        check = lambda: is_mate((c, d), (c2, d2))  # noqa: E731
+    else:
+        pairs = [(a, a) for a in members]
+        expected = len(members) * members[0].L1 * members[0].L2
+        check = lambda: is_gcas(members) if kind == "set" else is_gcap(*members)  # noqa: E731
+    exact = verify._tensor_check(pairs, expected, 1).violations == ()
+    assert _spectral_pass(pairs, expected) == exact
+    result = check()
+    with mock.patch.object(verify, "_spectral_pass", lambda pairs, expected: False):
+        reference = check()
+    assert result == reference
+    assert result.center_value.counts == reference.center_value.counts

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from golay2d import (
     QaryArray,
     auto_correlation_table,
     brute_force_gcaps,
+    construct_gcap_basic,
     construct_gcap_general,
     construct_gcas,
     construct_mate,
@@ -18,10 +21,10 @@ from golay2d import (
     is_gcs,
     is_mate,
 )
-from golay2d import verify
+from golay2d import correlation, verify
 
 import golden
-from helpers import count_value_inits, random_gcas_spec, random_general_spec
+from helpers import count_value_inits, random_basic_spec, random_gcas_spec, random_general_spec
 
 
 def test_is_gcs_on_sequence_pair():
@@ -334,3 +337,57 @@ def test_failing_check_builds_only_the_centre_value(monkeypatch):
     assert len(result.violations) == 9 * 11 - 1
     formats.verification_to_json_dict(result)
     assert len(calls) == 1
+
+
+def _checks_above_the_direct_size(rng):
+    """Checks of construction pairs, sets and mates of more than 128 cells, all passing."""
+    checks = []
+    for q, n, m in ((2, 4, 4), (4, 3, 5), (6, 4, 4), (8, 5, 3), (12, 1, 7)):
+        spec = random_general_spec(rng, q=q, n=n, m=m)
+        pair = construct_gcap_general(spec)
+        checks += [
+            partial(is_gcap, *pair),
+            partial(is_gcap, *construct_gcap_basic(random_basic_spec(rng, q=q, n=n, m=m))),
+            partial(is_mate, pair, construct_mate(spec)),
+            partial(is_gcas, construct_gcas(random_gcas_spec(rng, q=q, n=n, m=m))),
+        ]
+    checks.append(partial(is_gcs, gdj_pair(4, 8, tuple(int(v) for v in rng.permutation(8) + 1))))
+    return checks
+
+
+def test_passing_checks_above_the_direct_size_build_no_tensor(monkeypatch):
+    # A mate check runs two pair checks on its inputs first; they must pass
+    # without tensors too.
+    def no_tensor(c, d):
+        raise AssertionError("a passing check built a count tensor")
+
+    checks = _checks_above_the_direct_size(np.random.default_rng(43))
+    monkeypatch.setattr(correlation, "_count_tensor", no_tensor)
+    for check in checks:
+        result = check()
+        assert result.passed and not result.violations and not result.notes
+
+
+def test_uncertified_spectral_pass_falls_back_to_the_tensors(monkeypatch):
+    checks = _checks_above_the_direct_size(np.random.default_rng(47))
+    spectral = [check() for check in checks]
+    built = []
+    count_tensor = correlation._count_tensor
+    monkeypatch.setattr(correlation, "spectral_error_bound", lambda *args: 1.0)
+    monkeypatch.setattr(correlation, "_count_tensor", lambda c, d: built.append(c) or count_tensor(c, d))
+    for check, expected in zip(checks, spectral):
+        del built[:]
+        result = check()
+        assert built
+        assert result == expected and result.center_value.counts == expected.center_value.counts
+
+
+def test_small_checks_still_count_tables_in_the_verify_module(monkeypatch):
+    # Checks of at most 128 cells take the count tensors through the names
+    # the verify module binds, whatever the outcome.
+    c, d = construct_gcap_general(random_general_spec(np.random.default_rng(53), q=4, n=2, m=3))
+    calls = []
+    table = verify.auto_correlation_table
+    monkeypatch.setattr(verify, "auto_correlation_table", lambda a: calls.append(a) or table(a))
+    assert (c.L1, c.L2) == (4, 8)
+    assert is_gcap(c, d).passed and calls == [c, d]

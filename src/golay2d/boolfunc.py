@@ -20,6 +20,7 @@ bool, float or string, and anything else raises ValueError naming the field.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -139,14 +140,19 @@ def z_role(l: int, n: int, m: int) -> VariableRole:
 _BLOCK_POINTS = 1 << 15
 
 
+@functools.lru_cache(maxsize=8)
 def _bit_planes(n: int, m: int) -> np.ndarray:
     """The variables z_1..z_{n+m} on the 2^n x 2^m grid, as booleans.
 
     planes[l - 1, g, i] is z_l at cell (g, i) under the little-endian bit
     assignment: bit l-1 of the word g | (i << n).  Shape (n+m, 2^n, 2^m).
+    The array is read-only and shared by every call with the same (n, m):
+    each construction and each block of the enumeration stream needs it.
     """
     words = np.arange(1 << n)[:, None] | (np.arange(1 << m)[None, :] << n)
-    return (words >> np.arange(n + m)[:, None, None]) & 1 == 1
+    planes = (words >> np.arange(n + m)[:, None, None]) & 1 == 1
+    planes.setflags(write=False)
+    return planes
 
 
 class GeneralizedBooleanFunction:

@@ -12,6 +12,7 @@ oversampling factor of the papr subcommand; the others ignore it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,7 +32,6 @@ from .constructions import (
     enumerate_general_gcaps,
     gcs_1d,
     gdj_pair,
-    general_gcap_function,
 )
 from .correlation import auto_correlation_table, cross_correlation_table
 from .papr import DEFAULT_OVERSAMPLING, papr_report
@@ -172,11 +172,13 @@ def cmd_enumerate(args) -> int:
         return 0
     dump = open(args.dump, "w", encoding="utf-8") if args.dump else None
     try:
+        # First arrays of one shape, keyed by their bytes: an array has
+        # exactly one ANF, so distinct arrays are distinct functions.
         seen = set()
         count = 0
         for spec, (c, d) in enumerate_general_gcaps(args.q, args.n, args.m, budget=args.budget):
             count += 1
-            seen.add(general_gcap_function(spec))
+            seen.add(c.entries.tobytes())
             if dump:
                 record = formats.spec_to_json_dict(spec)
                 record["c"] = formats.array_to_json_dict(c)["entries"]
@@ -268,9 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main uses; build_parser makes a fresh one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:

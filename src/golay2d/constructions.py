@@ -12,13 +12,13 @@ variables x first and the row variables y second (basic_as_general_spec).
 Permutations use 1-indexed one-line notation: pi = (3, 4, 2, 1, 5) means
 pi(1) = 3.
 
-The exhaustive stream of the general pair construction evaluates no
-function per spec: the linear part and constant only add a fixed
-combination of bit planes to the path array of pi, so every pair of one pi
-comes from one block of integer arithmetic.  The stream also validates
-once per permutation: GcapGeneralSpec checks pi when the block starts, and
-each (p, p0) row of the block becomes a spec without a second check, since
-its digits lie in 0..q-1 by construction.
+One builder, _offset_arrays, makes every array as its path array plus a
+Z_q-linear combination of bit planes: a construction's members are the rows
+(q/2) * bits(t) over its start variables, and the exhaustive stream of the
+general pair construction passes the (p, p0) digits of a block of specs, so
+it evaluates no function per spec.  The stream validates pi once per
+permutation, and each (p, p0) row becomes a spec without a second check,
+since its digits lie in 0..q-1 by construction.
 """
 
 from __future__ import annotations
@@ -191,21 +191,27 @@ def _path_function(spec, paths) -> GeneralizedBooleanFunction:
     return GeneralizedBooleanFunction._canonical(spec.q, spec.n, spec.m, terms, spec.p0)
 
 
+def _offset_arrays(path: QaryArray, variables, coeffs, consts=0) -> list[QaryArray]:
+    """(path + coeffs @ z_variables + consts) mod q for each row of coeffs.
+
+    variables are 1-indexed and consts is one constant or a column.  The
+    arrays are read-only views of one block that QaryArray._stack checks once.
+    """
+    q, (L1, L2) = path.q, path.entries.shape
+    planes = _bit_planes(L1.bit_length() - 1, L2.bit_length() - 1).reshape(-1, L1 * L2)
+    offsets = np.asarray(coeffs) @ planes[[v - 1 for v in variables]]
+    block = (path.entries.reshape(-1) + offsets + consts) % q
+    return QaryArray._stack(q, block.reshape(-1, L1, L2))
+
+
 def _members(f: GeneralizedBooleanFunction, starts):
     """The arrays f + (q/2) * sum of a subset of the start variables, for every subset.
 
     Member t switches on starts[alpha] for every bit alpha set in t, so the
     first start varies fastest.
     """
-    half = f.q // 2
-    out = []
-    for t in range(1 << len(starts)):
-        g = f
-        for alpha, s in enumerate(starts):
-            if (t >> alpha) & 1:
-                g = g.add_term(half, (s,))
-        out.append(g.to_array())
-    return tuple(out)
+    bits = np.arange(1 << len(starts))[:, None] >> np.arange(len(starts)) & 1
+    return tuple(_offset_arrays(f.to_array(), starts, f.q // 2 * bits))
 
 
 def gdj_pair(q, m, pi, p=None, p0=0):
@@ -240,8 +246,9 @@ def construct_mate(spec: GcapGeneralSpec):
     the returned pair is itself complementary and is a mate of
     construct_gcap_general(spec).
     """
-    f = general_gcap_function(spec)
-    return _members(f.add_term(spec.q // 2, (spec.pi[-1],)), spec.pi[:1])
+    half = spec.q // 2
+    path = general_gcap_function(spec).to_array()
+    return tuple(_offset_arrays(path, (spec.pi[0], spec.pi[-1]), [[0, half], [half, half]]))
 
 
 def gcas_function(spec: GcasSpec) -> GeneralizedBooleanFunction:
@@ -281,42 +288,34 @@ def enumerate_general_gcaps(q, n, m, budget: int = DEFAULT_ENUM_BUDGET):
     (n+m)! * q^(n+m+1) entries and must fit the budget.  Deduplicating the
     first arrays of the stream reproduces count_general_gcaps(q, n, m).
 
-    The arrays of one pi are built as blocks of at most _BLOCK_POINTS cells:
-    the quadratic path array once, plus every linear part p . z + p0 at once
-    as a matrix product with the bit planes of z_1..z_{n+m}.  Each block is
-    range-checked once and made read-only, and the yielded arrays are views
-    into it, so a pair kept after the stream moves on keeps its block alive.
+    The arrays of one pi come from _offset_arrays in blocks of at most
+    _BLOCK_POINTS cells, the linear parts p . z + p0 of a block's specs at
+    once.  The yielded arrays are read-only views into their block, so a pair
+    kept after the stream moves on keeps its block alive.
     """
     q, n, m = _check_sizes(q, n, m, "general pair", 0)
     raw = _raw_spec_count(q, n, m)
     budget = _at_least(budget, 0, "budget")
     if raw > budget:
-        raise ValueError(
-            f"enumeration budget exceeded: {raw} specs > budget {budget}"
-        )
+        raise ValueError(f"enumeration budget exceeded: {raw} specs > budget {budget}")
     return _general_pair_stream(q, n, m)
 
 
 def _general_pair_stream(q: int, n: int, m: int):
-    half = q // 2
-    planes = _bit_planes(n, m)
-    shape = planes.shape[1:]
-    flat = planes.reshape(n + m, -1)
+    variables = range(1, n + m + 1)
     per_pi = q ** (n + m + 1)
-    step = max(1, _BLOCK_POINTS // flat.shape[1])
+    step = max(1, _BLOCK_POINTS // (1 << (n + m)))
     # Digit t of spec index k, most significant first: k in product order
     # of (p_1, ..., p_{n+m}, p0).
     powers = q ** np.arange(n + m, -1, -1, dtype=np.int64)
-    for pi in itertools.permutations(range(1, n + m + 1)):
+    for pi in itertools.permutations(variables):
         base = GcapGeneralSpec(q, n, m, pi)
-        path = general_gcap_function(base).to_array().entries.reshape(-1)
-        offset = half * flat[pi[0] - 1]
+        path = general_gcap_function(base).to_array()
+        switch = q // 2 * np.equal(variables, pi[0])  # d = c + (q/2) z_pi(1)
         for start in range(0, per_pi, step):
             digits = np.arange(start, min(start + step, per_pi))[:, None] // powers % q
-            c = (path + digits[:, :-1] @ flat + digits[:, -1:]) % q
-            d = (c + offset) % q
-            firsts = QaryArray._stack(q, c.reshape(-1, *shape))
-            seconds = QaryArray._stack(q, d.reshape(-1, *shape))
+            firsts = _offset_arrays(path, variables, digits[:, :-1], digits[:, -1:])
+            seconds = _offset_arrays(path, variables, digits[:, :-1] + switch, digits[:, -1:])
             for row, pair in zip(digits.tolist(), zip(firsts, seconds)):
                 # base validated pi; every digit lies in 0..q-1 by construction.
                 spec = object.__new__(GcapGeneralSpec)

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from golay2d import (
+    GcapBasicSpec,
     GcapGeneralSpec,
     GcasSpec,
     GeneralizedBooleanFunction,
     QaryArray,
     auto_correlation_table,
+    construct_gcap_basic,
     construct_gcap_general,
     construct_gcas,
     construct_mate,
@@ -73,6 +75,95 @@ def test_path_functions_are_built_canonical(specs):
         assert (built.terms, built.constant) == (reference.terms, reference.constant)
         assert built == reference and hash(built) == hash(reference)
     assert construct_mate(pair)[0] == mate.to_array()
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(pair_and_set_specs())
+def test_members_are_the_arrays_of_their_functions(specs):
+    # Each member array, built from the path array and bit planes, is the
+    # array of f plus (q/2) on its subset of start variables (and, for the
+    # mate, on the last path variable).
+    pair, gcas = specs
+    half = pair.q // 2
+
+    def subsets(f, starts, t):
+        for alpha, s in enumerate(starts):
+            if t >> alpha & 1:
+                f = f.add_term(half, (s,))
+        return f
+
+    f, first, last = general_gcap_function(pair), pair.pi[:1], pair.pi[-1:]
+    g, starts = gcas_function(gcas), [block[0] for block in gcas.blocks]
+    for built, functions in (
+        (construct_gcap_general(pair), [subsets(f, first, t) for t in (0, 1)]),
+        (construct_mate(pair), [subsets(subsets(f, last, 1), first, t) for t in (0, 1)]),
+        (construct_gcas(gcas), [subsets(g, starts, t) for t in range(1 << gcas.k)]),
+    ):
+        assert built == tuple(h.to_array() for h in functions)
+        assert not any(a.entries.flags.writeable for a in built)
+
+
+KINDS = ("gcap-general", "gcap-basic", "mate", "gcas")
+
+
+@st.composite
+def construction_specs(draw, kinds=KINDS):
+    """(kind, spec) of a construction: any q, n = 0 included (n, m >= 1 for a
+    basic pair) and 2 <= n + m <= 8, so on both sides of the direct-count size."""
+    q = draw(st.sampled_from((2, 4, 6, 8, 12)))
+    kind = draw(st.sampled_from(kinds))
+    least = 1 if kind == "gcap-basic" else 0
+    n = draw(st.integers(least, 4))
+    m = draw(st.integers(max(least, 2 - n), 8 - n))
+
+    def coeffs(size):
+        return draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+
+    p0 = draw(st.integers(0, q - 1))
+    if kind == "gcap-basic":
+        pi1, pi2 = (draw(st.permutations(range(1, k + 1))) for k in (m, n))
+        return kind, GcapBasicSpec(q, n, m, pi1, pi2, coeffs(m), coeffs(n), p0)
+    order = draw(st.permutations(range(1, n + m + 1)))
+    if kind == "gcas":
+        cuts = sorted(draw(st.sets(st.integers(1, n + m - 1), max_size=3)))
+        bounds = [0, *cuts, n + m]
+        blocks = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+        return kind, GcasSpec(q, n, m, blocks, coeffs(n + m), p0)
+    return kind, GcapGeneralSpec(q, n, m, order, coeffs(n + m), p0)
+
+
+def _pair(kind, spec):
+    return (construct_gcap_basic if kind == "gcap-basic" else construct_gcap_general)(spec)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(construction_specs())
+def test_every_construction_spec_passes_its_check(case):
+    kind, spec = case
+    if kind == "gcas":
+        result = is_gcas(construct_gcas(spec))
+    elif kind == "mate":
+        result = is_mate(construct_gcap_general(spec), construct_mate(spec))
+    else:
+        result = is_gcap(*_pair(kind, spec))
+    assert result.passed and result.violations == ()
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(construction_specs(("gcap-general", "gcap-basic")), st.data())
+def test_every_single_cell_change_breaks_a_pair(case, data):
+    # A pair is complementary exactly when |C|^2 + |D|^2 is constant on the
+    # torus.  Changing cell x of one array adds a trigonometric polynomial whose
+    # coefficient at x - y is nonzero for a cell y with 2x - y off the grid,
+    # and every power-of-two shape with more than one cell has such a y.
+    pair = list(_pair(*case))
+    k = data.draw(st.integers(0, 1))
+    q, (L1, L2) = pair[k].q, pair[k].entries.shape
+    g, i = data.draw(st.integers(0, L1 - 1)), data.draw(st.integers(0, L2 - 1))
+    entries = pair[k].entries.copy()
+    entries[g, i] = (entries[g, i] + data.draw(st.integers(1, q - 1))) % q
+    pair[k] = QaryArray(q, entries)
+    assert not is_gcap(*pair).passed
 
 
 @st.composite

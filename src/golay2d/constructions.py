@@ -12,17 +12,25 @@ variables x first and the row variables y second (basic_as_general_spec).
 Permutations use 1-indexed one-line notation: pi = (3, 4, 2, 1, 5) means
 pi(1) = 3.
 
-One builder, _offset_arrays, makes every array as its path array plus a
+A path function comes from a per-path edge table, cached: for each
+variable l, the q/2 edges whose lower end is l, sorted.  One pass over
+l = 1..n+m emits z_l's linear term and then l's edges, which is already
+the canonical term order, so no spec's function is merged or sorted, and
+the specs of one permutation share one table.
+
+One builder, _offset_block, makes every array as its path array plus a
 Z_q-linear combination of bit planes: a construction's members are the rows
 (q/2) * bits(t) over its start variables, and the exhaustive stream of the
 general pair construction passes the (p, p0) digits of a block of specs, so
-it evaluates no function per spec.  The stream validates pi once per
-permutation, and each (p, p0) row becomes a spec without a second check,
-since its digits lie in 0..q-1 by construction.
+it evaluates no function per spec and takes one product per block: the
+second arrays are the first block plus (q/2) z_pi(1), mod q.  The stream
+validates pi once per permutation, and each (p, p0) row becomes a spec
+without a second check, since its digits lie in 0..q-1 by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import factorial
@@ -173,35 +181,55 @@ class GcasSpec:
         return len(self.blocks)
 
 
+@functools.lru_cache(maxsize=64)
+def _edge_terms(half: int, size: int, paths: tuple) -> tuple:
+    """Per variable l of 1..size: (l,) and the q/2 edge terms (half, (l, b)) with lower end l.
+
+    The edges join neighbours on each path and are sorted by b, so the
+    terms of l come before those of l + 1.  The table depends only on the
+    paths, which every spec of one permutation in the enumeration stream
+    shares, so it is built once per permutation and not once per spec.
+    """
+    upper = [[] for _ in range(size)]
+    for path in paths:
+        for a, b in zip(path, path[1:]):
+            upper[min(a, b) - 1].append(max(a, b))
+    return tuple(
+        ((l,), tuple((half, (l, b)) for b in sorted(ends))) for l, ends in enumerate(upper, start=1)
+    )
+
+
 def _path_function(spec, paths) -> GeneralizedBooleanFunction:
     """spec's linear part and constant plus a q/2 edge between neighbours on each path.
 
     The paths of a validated spec are vertex-disjoint and its coefficients
-    already lie in 0..q-1, so the terms are built canonical and nothing is
-    merged or checked again: each edge as a sorted pair, the nonzero linear
-    singletons, and the whole list sorted by variables.
+    already lie in 0..q-1, so the terms come out canonical in one pass over
+    the variables, with nothing merged, sorted or checked again: for each
+    l, its nonzero linear singleton and then its edges from _edge_terms,
+    since (l,) < (l, b) < (l + 1,).
     """
-    half = spec.q // 2
-    keyed = [
-        ((a, b) if a < b else (b, a), half) for path in paths for a, b in zip(path, path[1:])
-    ]
-    keyed += [((l,), coeff) for l, coeff in enumerate(spec.p, start=1) if coeff]
-    keyed.sort()
-    terms = tuple((coeff, vs) for vs, coeff in keyed)
-    return GeneralizedBooleanFunction._canonical(spec.q, spec.n, spec.m, terms, spec.p0)
+    terms = []
+    for coeff, (single, edges) in zip(spec.p, _edge_terms(spec.q // 2, len(spec.p), paths)):
+        if coeff:
+            terms.append((coeff, single))
+        terms += edges
+    return GeneralizedBooleanFunction._canonical(spec.q, spec.n, spec.m, tuple(terms), spec.p0)
 
 
-def _offset_arrays(path: QaryArray, variables, coeffs, consts=0) -> list[QaryArray]:
-    """(path + coeffs @ z_variables + consts) mod q for each row of coeffs.
+def _offset_block(path: QaryArray, variables, coeffs, consts=0) -> np.ndarray:
+    """(path + coeffs @ z_variables + consts) mod q for each row of coeffs, as one int64 block.
 
-    variables are 1-indexed and consts is one constant or a column.  The
-    arrays are read-only views of one block that QaryArray._stack checks once.
+    variables are 1-indexed and consts is one constant or a column.
     """
     q, (L1, L2) = path.q, path.entries.shape
     planes = _bit_planes(L1.bit_length() - 1, L2.bit_length() - 1).reshape(-1, L1 * L2)
     offsets = np.asarray(coeffs) @ planes[[v - 1 for v in variables]]
-    block = (path.entries.reshape(-1) + offsets + consts) % q
-    return QaryArray._stack(q, block.reshape(-1, L1, L2))
+    return ((path.entries.reshape(-1) + offsets + consts) % q).reshape(-1, L1, L2)
+
+
+def _offset_arrays(path: QaryArray, variables, coeffs, consts=0) -> list[QaryArray]:
+    """The rows of _offset_block as read-only views of one block that QaryArray._stack checks once."""
+    return QaryArray._stack(path.q, _offset_block(path, variables, coeffs, consts))
 
 
 def _members(f: GeneralizedBooleanFunction, starts):
@@ -288,10 +316,11 @@ def enumerate_general_gcaps(q, n, m, budget: int = DEFAULT_ENUM_BUDGET):
     (n+m)! * q^(n+m+1) entries and must fit the budget.  Deduplicating the
     first arrays of the stream reproduces count_general_gcaps(q, n, m).
 
-    The arrays of one pi come from _offset_arrays in blocks of at most
+    The first arrays of one pi come from _offset_block in blocks of at most
     _BLOCK_POINTS cells, the linear parts p . z + p0 of a block's specs at
-    once.  The yielded arrays are read-only views into their block, so a pair
-    kept after the stream moves on keeps its block alive.
+    once, and the second arrays from the same block plus (q/2) z_pi(1).  The
+    yielded arrays are read-only views into their block, so a pair kept
+    after the stream moves on keeps its block alive.
     """
     q, n, m = _check_sizes(q, n, m, "general pair", 0)
     raw = _raw_spec_count(q, n, m)
@@ -311,11 +340,12 @@ def _general_pair_stream(q: int, n: int, m: int):
     for pi in itertools.permutations(variables):
         base = GcapGeneralSpec(q, n, m, pi)
         path = general_gcap_function(base).to_array()
-        switch = q // 2 * np.equal(variables, pi[0])  # d = c + (q/2) z_pi(1)
+        switch = q // 2 * _bit_planes(n, m)[pi[0] - 1]  # d = c + (q/2) z_pi(1)
         for start in range(0, per_pi, step):
             digits = np.arange(start, min(start + step, per_pi))[:, None] // powers % q
-            firsts = _offset_arrays(path, variables, digits[:, :-1], digits[:, -1:])
-            seconds = _offset_arrays(path, variables, digits[:, :-1] + switch, digits[:, -1:])
+            block = _offset_block(path, variables, digits[:, :-1], digits[:, -1:])
+            firsts = QaryArray._stack(q, block)
+            seconds = QaryArray._stack(q, (block + switch) % q)
             for row, pair in zip(digits.tolist(), zip(firsts, seconds)):
                 # base validated pi; every digit lies in 0..q-1 by construction.
                 spec = object.__new__(GcapGeneralSpec)

@@ -24,9 +24,10 @@ the sum less its expected value is an algebraic integer alpha of Z[xi_q],
 and a nonzero alpha has a nonzero integer norm, the product of
 |sigma_j(alpha)| over the j coprime to q.  _spectral_pass computes
 sigma_j(alpha) at every shift by one complex FFT correlation of xi^(j c)
-per embedding j <= q/2, and certifies alpha = 0 everywhere when every
-computed value and the a-priori bound of spectral_error_bound lie below
-1/2.  It builds no count tensor.
+per embedding j <= q/2.  When the a-priori bound of spectral_error_bound
+lies below 1/2, it certifies alpha = 0 everywhere if every computed value
+does too, and proves some alpha nonzero otherwise.  It builds no count
+tensor.
 """
 
 from __future__ import annotations
@@ -517,8 +518,8 @@ def _embedding_roots(q: int, j: int) -> np.ndarray:
     return table
 
 
-def _spectral_pass(pairs, expected_center: int) -> bool:
-    """Whether the summed correlations certifiably equal expected_center at (0, 0) and 0 elsewhere.
+def _spectral_pass(pairs, expected_center: int) -> bool | None:
+    """Whether the summed correlations equal expected_center at (0, 0) and 0 elsewhere, if certified.
 
     pairs lists (c, d) arrays of one alphabet and shape, c the shifted one
     as in cross_correlation.  At each shift the summed correlation minus
@@ -530,15 +531,17 @@ def _spectral_pass(pairs, expected_center: int) -> bool:
     centre; sigma_(q-j) is its conjugate, so _embeddings(q) suffice.  Each
     computed value is within spectral_error_bound of the exact one, so
     when that bound and every computed |sigma_j| lie below 1/2, every
-    alpha is zero.  Arrays that occur in several pairs are transformed
-    once; q = 2 uses rfft2.  False means only that the pass did not
-    certify: some computed value reached 1/2, or the bound is too large.
+    alpha is zero: the result is True.  Under the same bound, a computed
+    |sigma_j| of at least 1/2 leaves the exact one above 0, so that alpha
+    is not zero: the result is False, a proven failure.  None means the
+    pass decided nothing, because the bound is not below 1/2.  Arrays that
+    occur in several pairs are transformed once; q = 2 uses rfft2.
     """
     c = pairs[0][0]
     q, L1, L2 = c.q, c.L1, c.L2
     shape = (_transform_size(L1), _transform_size(L2))
     if not spectral_error_bound(*shape, q, L1 * L2, len(pairs)) < 0.5:
-        return False
+        return None
     arrays = list({id(a): a for pair in pairs for a in pair}.values())
     slot = {id(a): k for k, a in enumerate(arrays)}
     left = [slot[id(a)] for a, _ in pairs]
@@ -554,8 +557,11 @@ def _spectral_pass(pairs, expected_center: int) -> bool:
             products = x * spectra[right].conj()
         values = inverse(products.sum(axis=0), s=shape)
         values[0, 0] -= expected_center
-        if not np.abs(values).max() < 0.5:
+        largest = np.abs(values).max()
+        if largest >= 0.5:
             return False
+        if not largest < 0.5:  # NaN: nothing is decided
+            return None
     return True
 
 

@@ -10,9 +10,10 @@ Every checker goes through one check kernel.  A check of at most
 _DIRECT_PAIRS cell pairs sums exact count tensors and compares them,
 reduced modulo the cyclotomic polynomial, with the expected centre.  A
 larger one first tries the norm-certified spectral pass of
-correlation._spectral_pass, which builds no count tensor; when it cannot
-certify a pass, the check falls back to the count tensors, so every
-violation list and its values come from them.
+correlation._spectral_pass, which builds no count tensor.  It answers a
+certified pass, and a proven failure when no violation is to be listed;
+every other check falls back to the count tensors, so every violation
+list and its values come from them.
 """
 
 from __future__ import annotations
@@ -81,18 +82,22 @@ def _check(pairs, expected_center, max_violations, notes=()):
 
     pairs lists (c, d) arrays, c the shifted one as in cross_correlation;
     (a, a) stands for a's autocorrelation.  A check above _DIRECT_PAIRS
-    that the spectral pass certifies builds no table: its centre is
-    N*L1*L2 for autocorrelations and the direct counts at (0, 0)
-    otherwise, the same counts the tensors hold.  Every other check is
-    _tensor_check's.
+    builds no table when the spectral pass certifies it, or proves it
+    false with max_violations 0: a failure then lists no violation and is
+    truncated, as the tensors would report it.  Its centre is N*L1*L2 for
+    autocorrelations and the direct counts at (0, 0) otherwise, the same
+    counts the tensors hold.  Every other check is _tensor_check's.
     """
     c = pairs[0][0]
-    if (c.L1 * c.L2) ** 2 > _DIRECT_PAIRS and _spectral_pass(pairs, expected_center):
-        if all(a is b for a, b in pairs):
-            center = CorrelationValue.from_int(len(pairs) * c.L1 * c.L2, c.q)
-        else:
-            center = correlation_sum([cross_correlation(a, b, 0, 0) for a, b in pairs])
-        return VerificationResult(not notes, (), center, expected_center, False, tuple(notes))
+    if (c.L1 * c.L2) ** 2 > _DIRECT_PAIRS:
+        verdict = _spectral_pass(pairs, expected_center)
+        if verdict or (verdict is False and max_violations == 0):
+            if all(a is b for a, b in pairs):
+                center = CorrelationValue.from_int(len(pairs) * c.L1 * c.L2, c.q)
+            else:
+                center = correlation_sum([cross_correlation(a, b, 0, 0) for a, b in pairs])
+            passed = verdict and not notes
+            return VerificationResult(passed, (), center, expected_center, not verdict, tuple(notes))
     return _tensor_check(pairs, expected_center, max_violations, notes)
 
 

@@ -4,6 +4,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,6 +21,7 @@ from golay2d import (
     construct_mate,
     cross_correlation,
     cross_correlation_table,
+    enumerate_general_gcaps,
     is_gcap,
     is_gcas,
     is_mate,
@@ -60,6 +62,11 @@ def _in_full(spec, paths, extra=()):
     return GeneralizedBooleanFunction(spec.q, spec.n, spec.m, terms + list(extra), spec.p0)
 
 
+def _assert_same_function(built, reference):
+    assert (built.terms, built.constant) == (reference.terms, reference.constant)
+    assert built == reference and hash(built) == hash(reference)
+
+
 @settings(derandomize=True, deadline=None, database=None)
 @given(pair_and_set_specs())
 def test_path_functions_are_built_canonical(specs):
@@ -72,9 +79,17 @@ def test_path_functions_are_built_canonical(specs):
         (mate, _in_full(pair, [pair.pi], [last])),
         (gcas_function(gcas), _in_full(gcas, gcas.blocks)),
     ):
-        assert (built.terms, built.constant) == (reference.terms, reference.constant)
-        assert built == reference and hash(built) == hash(reference)
+        _assert_same_function(built, reference)
     assert construct_mate(pair)[0] == mate.to_array()
+
+
+@pytest.mark.parametrize("q, n, m", [(2, 2, 2), (4, 1, 2), (6, 0, 2)])
+def test_streamed_path_functions_are_built_canonical(q, n, m):
+    # Every spec of the stream, many sharing one permutation's edge table.
+    for spec, (c, _) in enumerate_general_gcaps(q, n, m):
+        f = general_gcap_function(spec)
+        _assert_same_function(f, _in_full(spec, [spec.pi]))
+        assert f.to_array() == c, spec
 
 
 @settings(derandomize=True, deadline=None, database=None)
@@ -271,7 +286,7 @@ def test_spectral_pass_agrees_with_the_tensors(case):
     exact = verify._tensor_check(pairs, expected, 1).violations == ()
     assert _spectral_pass(pairs, expected) == exact
     result = check()
-    with mock.patch.object(verify, "_spectral_pass", lambda pairs, expected: False):
+    with mock.patch.object(verify, "_spectral_pass", lambda pairs, expected: None):
         reference = check()
     assert result == reference
     assert result.center_value.counts == reference.center_value.counts

@@ -169,15 +169,24 @@ def test_census_of_all_65536_arrays(q, L1, L2, ordered, distinct):
 
 
 def test_brute_force_closures():
-    pairs = brute_force_gcaps(2, 2, 2)
-    as_set = {(c, d) for c, d in pairs}
-    for c, d in pairs:
-        assert (d, c) in as_set
-        flipped = (
-            QaryArray(2, (1 - c.entries) % 2),
-            QaryArray(2, (1 - d.entries) % 2),
-        )
-        assert flipped in as_set
+    for q, L1, L2 in ((2, 2, 2), (2, 2, 4), (2, 4, 2), (4, 2, 2)):
+        pairs = brute_force_gcaps(q, L1, L2)
+        as_set = {(c, d) for c, d in pairs}
+        for c, d in pairs:
+            assert (d, c) in as_set
+            flipped = (
+                QaryArray(q, (1 - c.entries) % q),
+                QaryArray(q, (1 - d.entries) % q),
+            )
+            assert flipped in as_set
+        # The pairs are the closure of the construction pairs under two maps
+        # of the second array b that keep its autocorrelation, b -> b + k and
+        # b -> -reverse(b).  -reverse(b) is already some pair's b + k, so
+        # the first map alone closes them.
+        stream = list(enumerate_general_gcaps(q, L1.bit_length() - 1, L2.bit_length() - 1))
+        shifted = {(c, QaryArray(q, (d.entries + k) % q)) for _, (c, d) in stream for k in range(q)}
+        reversed_ = {(c, QaryArray(q, -d.entries[::-1, ::-1] % q)) for _, (c, d) in stream}
+        assert reversed_ <= shifted and shifted == as_set, (q, L1, L2)
 
 
 def test_brute_force_deterministic_lexicographic():
@@ -366,6 +375,34 @@ def test_passing_checks_above_the_direct_size_build_no_tensor(monkeypatch):
     for check in checks:
         result = check()
         assert result.passed and not result.violations and not result.notes
+
+
+@pytest.mark.parametrize("q, n, m", [(2, 4, 4), (4, 3, 5), (6, 4, 4), (8, 5, 3), (12, 1, 7)])
+def test_zero_violation_failures_above_the_direct_size_build_no_tensor(monkeypatch, q, n, m):
+    # A corner change fails the pair at the opposite corner; with no
+    # violation to list, the spectral pass's proof of it is the whole
+    # answer, field for field the one the tensors give.
+    spec = random_general_spec(np.random.default_rng(59 + q), q=q, n=n, m=m)
+    c, d = construct_gcap_general(spec)
+    entries = c.entries.copy()
+    entries[-1, -1] = (entries[-1, -1] + 1) % q
+    bad = QaryArray(q, entries)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_spectral_pass", lambda pairs, expected: None)
+        reference = is_gcap(bad, d, max_violations=0)
+        mate_reference = is_mate((bad, d), construct_mate(spec), max_violations=0)
+    assert not reference.passed and reference.truncated and not reference.violations
+    assert mate_reference.notes == ("first pair fails the complementary-pair condition",)
+
+    def no_tensor(c, d):
+        raise AssertionError("a proven failure built a count tensor")
+
+    monkeypatch.setattr(correlation, "_count_tensor", no_tensor)
+    result = is_gcap(bad, d, max_violations=0)
+    assert result == reference and result.center_value.counts == reference.center_value.counts
+    mate = is_mate((bad, d), construct_mate(spec), max_violations=0)
+    assert mate == mate_reference
+    assert mate.center_value.counts == mate_reference.center_value.counts
 
 
 def test_uncertified_spectral_pass_falls_back_to_the_tensors(monkeypatch):

@@ -384,19 +384,14 @@ def function_from_array(arr: QaryArray, n: int, m: int) -> GeneralizedBooleanFun
         raise ValueError(
             f"array is {arr.L1}x{arr.L2}; expected {1 << n}x{1 << m} for n={n}, m={m}"
         )
-    q = arr.q
-    nvars = n + m
-    coeffs = [
-        int(arr.entries[w & ((1 << n) - 1), w >> n]) for w in range(1 << nvars)
-    ]
+    q, nvars = arr.q, n + m
+    # index w of coeffs is g | (i << n) for the cell (g, i)
+    coeffs = arr.entries.T.reshape(-1).copy()
     for b in range(nvars):
-        bit = 1 << b
-        for w in range(1 << nvars):
-            if w & bit:
-                coeffs[w] = (coeffs[w] - coeffs[w ^ bit]) % q
-    terms = []
-    for w in range(1, 1 << nvars):
-        if coeffs[w]:
-            vs = tuple(l + 1 for l in range(nvars) if w & (1 << l))
-            terms.append((coeffs[w], vs))
+        halves = coeffs.reshape(-1, 2, 1 << b)
+        halves[:, 1] = (halves[:, 1] - halves[:, 0]) % q
+    terms = [
+        (coeffs[w], tuple(l + 1 for l in range(nvars) if w >> l & 1))
+        for w in (np.flatnonzero(coeffs[1:]) + 1).tolist()
+    ]
     return GeneralizedBooleanFunction(q, n, m, terms, constant=coeffs[0])

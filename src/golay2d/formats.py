@@ -143,23 +143,26 @@ def array_from_json_dict(d: dict) -> QaryArray:
 
 
 def load_array(path, q: int | None = None) -> QaryArray:
-    """Read an array file; JSON when the content starts with '{', else CSV."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return array_from_json_dict(json.loads(text))
-    return array_from_csv(text, q=q)
+    """Read an array file, JSON when it starts with '{' and CSV otherwise; errors name the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if text.lstrip().startswith("{"):
+            return array_from_json_dict(json.loads(text))
+        return array_from_csv(text, q=q)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_array(arr: QaryArray, path, fmt: str = "csv"):
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown array format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "csv":
             fh.write(array_to_csv(arr))
-        elif fmt == "json":
+        else:
             json.dump(array_to_json_dict(arr), fh)
             fh.write("\n")
-        else:
-            raise ValueError(f"unknown array format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ are mates when their pairwise cross-correlations cancel at every shift, the
 origin included.  All decisions here are exact: sums of correlation values
 are tested for zero algebraically, never through a float tolerance.
 
-Every checker goes through one check kernel.  A check of at most
+Every checker goes through one check kernel, _check.  Its centre, the
+exact sum at the origin, is N*L1*L2 for autocorrelations and one bincount
+of the differences of the paired arrays otherwise.  A check of at most
 _DIRECT_PAIRS cell pairs sums exact count tensors and compares them,
 reduced modulo the cyclotomic polynomial, with the expected centre.  A
 larger one first tries the norm-certified spectral pass of
@@ -18,7 +20,7 @@ list and its values come from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,8 +31,6 @@ from .correlation import (
     _complex_values,
     _spectral_pass,
     auto_correlation_table,
-    correlation_sum,
-    cross_correlation,
     cross_correlation_table,
     reduction_matrix,
 )
@@ -77,37 +77,31 @@ def _expected_reduced(q: int, L1: int, L2: int, expected_center: int) -> np.ndar
     return expected
 
 
-def _check(pairs, expected_center, max_violations, notes=()):
+def _check(pairs, expected_center, max_violations):
     """The one check kernel: the summed correlations of the pairs equal the expected centre.
 
     pairs lists (c, d) arrays, c the shifted one as in cross_correlation;
     (a, a) stands for a's autocorrelation.  A check above _DIRECT_PAIRS
     builds no table when the spectral pass certifies it, or proves it
     false with max_violations 0: a failure then lists no violation and is
-    truncated, as the tensors would report it.  Its centre is N*L1*L2 for
-    autocorrelations and the direct counts at (0, 0) otherwise, the same
-    counts the tensors hold.  Every other check is _tensor_check's.
+    truncated, as the tensors would report it.  Every other check sums the
+    tables and lists the shifts whose reduced sum is not the expected one.
     """
     c = pairs[0][0]
-    if (c.L1 * c.L2) ** 2 > _DIRECT_PAIRS:
+    q, L1, L2 = c.q, c.L1, c.L2
+    if all(a is b for a, b in pairs):
+        center = CorrelationValue.from_int(len(pairs) * L1 * L2, q)
+    else:
+        diffs = np.stack([a.entries - b.entries for a, b in pairs]) % q
+        center = CorrelationValue(q, np.bincount(diffs.ravel(), minlength=q))
+    if (L1 * L2) ** 2 > _DIRECT_PAIRS:
         verdict = _spectral_pass(pairs, expected_center)
         if verdict or (verdict is False and max_violations == 0):
-            if all(a is b for a, b in pairs):
-                center = CorrelationValue.from_int(len(pairs) * c.L1 * c.L2, c.q)
-            else:
-                center = correlation_sum([cross_correlation(a, b, 0, 0) for a, b in pairs])
-            passed = verdict and not notes
-            return VerificationResult(passed, (), center, expected_center, not verdict, tuple(notes))
-    return _tensor_check(pairs, expected_center, max_violations, notes)
-
-
-def _tensor_check(pairs, expected_center, max_violations, notes=()):
-    """The check by count tensors: the reduced sum of the tables equals the expected centre."""
+            return VerificationResult(verdict, (), center, expected_center, not verdict)
     tables = [
         auto_correlation_table(a) if a is b else cross_correlation_table(a, b) for a, b in pairs
     ]
     total = sum(tables[1:], tables[0])
-    q, L1, L2 = total.q, total.L1, total.L2
     bad = (total.reduced() != _expected_reduced(q, L1, L2, expected_center)).any(axis=-1)
     found = np.flatnonzero(bad)
     kept = found[:max_violations]
@@ -116,11 +110,7 @@ def _tensor_check(pairs, expected_center, max_violations, notes=()):
     values = _complex_values(q, total.counts.reshape(-1, q)[kept]).tolist()
     violations = tuple(zip(zip(u1, u2), values))
     truncated = len(found) > max_violations
-    center = total.value(0, 0)
-    passed = not violations and not truncated and not notes
-    return VerificationResult(
-        passed, violations, center, expected_center, truncated, tuple(notes)
-    )
+    return VerificationResult(not len(found), violations, center, expected_center, truncated)
 
 
 def is_gcas(arrays, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> VerificationResult:
@@ -171,7 +161,8 @@ def is_mate(pair1, pair2, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Verif
         notes.append("first pair fails the complementary-pair condition")
     if not is_gcap(c2, d2, max_violations=0).passed:
         notes.append("second pair fails the complementary-pair condition")
-    return _check([(c, c2), (d, d2)], 0, max_violations, notes)
+    result = _check([(c, c2), (d, d2)], 0, max_violations)
+    return replace(result, passed=result.passed and not notes, notes=tuple(notes))
 
 
 def brute_force_gcaps(q, L1, L2, budget: int = DEFAULT_PAIR_BUDGET):

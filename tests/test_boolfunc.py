@@ -10,6 +10,7 @@ from golay2d import (
     QaryArray,
     auto_correlation_table,
     brute_force_gcaps,
+    construct_gcap_general,
     cross_correlation,
     enumerate_general_gcaps,
     formats,
@@ -19,9 +20,10 @@ from golay2d import (
     z_role,
 )
 from golay2d.boolfunc import _bit_planes
+from golay2d.constructions import general_gcap_function
 
 import golden
-from helpers import random_array
+from helpers import random_array, random_general_spec
 
 
 def test_z_role_row_and_column():
@@ -186,14 +188,20 @@ def test_transposition_duality():
 
 def test_function_from_array_round_trip():
     rng = np.random.default_rng(17)
+    cases = []
     for _ in range(25):
         n, m = int(rng.integers(0, 3)), int(rng.integers(0, 3))
         if n + m == 0:
             continue
         q = int(rng.choice((2, 4, 8)))
-        arr = random_array(rng, q=q, L1=1 << n, L2=1 << m)
+        cases.append((random_array(rng, q=q, L1=1 << n, L2=1 << m), n, m, None))
+    # a 128x128 construction array: its ANF is the quadratic it was built from
+    spec = random_general_spec(rng, q=8, n=7, m=7)
+    cases.append((construct_gcap_general(spec)[0], 7, 7, general_gcap_function(spec)))
+    for arr, n, m, anf in cases:
         f = function_from_array(arr, n, m)
         assert np.array_equal(f.to_array().entries, arr.entries)
+        assert anf is None or f == anf
 
 
 def test_function_from_array_shape_check():
@@ -206,6 +214,8 @@ def test_sequence_view():
     assert seq.L1 == 1 and seq.sequence() == (1, 1, 1, 3)
     with pytest.raises(ValueError):
         QaryArray(2, [[0, 1], [1, 0]]).sequence()
+    arr = QaryArray(4, [[0, 1, 2], [3, 0, 1]])
+    assert arr.row(1).tolist() == [3, 0, 1] and arr.column(2).tolist() == [2, 1]
 
 
 def test_array_equality_and_hash():

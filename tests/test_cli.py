@@ -318,9 +318,34 @@ def test_ragged_csv_names_the_line(tmp_path, capsys):
         bad_cell.write_text(f"# q={header}\n0,1\n")
         assert main(["corr", str(bad_cell)]) == 2
         message = _one_line_error(capsys.readouterr().err)
-        assert message == f"error: array CSV line 1: q must be an integer, got '{header}'"
+        assert message == f"error: {bad_cell}: array CSV line 1: q must be an integer, got '{header}'"
     with pytest.raises(ValueError, match=r"^table CSV line 2: cell 'x'"):
         formats.correlation_table_from_csv("# q=2 L1=1 L2=2\n1,x,1\n")
+
+
+def test_file_input_errors_exit_2(tmp_path, capsys):
+    # a file that does not decode or parse is named; a wrong file count is too
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("# q=4\n0,1\n2,3\n")
+    bad.write_text("# q=4\n0,1\n2,5\n")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"q": 4,, }')
+    listed = tmp_path / "listed.json"
+    listed.write_text("[[0, 1]]\n")
+    decode_error = f"{malformed}: Expecting property name"
+    for argv, message in (
+        (["verify", "gcap", str(good), str(bad)], f"{bad}: entries must lie in 0..3"),
+        (["corr", str(malformed)], decode_error),
+        (["corr", str(listed)], f"{listed}: array CSV line 1"),
+        (["gen", "gdj", "--spec", str(malformed), "--out", str(tmp_path / "x")], decode_error),
+        (["papr", str(good), "--spec", str(malformed)], decode_error),
+        (["verify", "gcap", str(good)], "verify gcap needs exactly 2 array files"),
+        (["verify", "gcap", *[str(good)] * 3], "verify gcap needs exactly 2 array files"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line_error(captured.err).startswith(f"error: {message}")
 
 
 def test_papr_low_oversample_and_odd_q_exit_2(tmp_path, capsys):

@@ -8,6 +8,7 @@ from golay2d import (
     CorrelationTable,
     CorrelationValue,
     QaryArray,
+    auto_correlation,
     auto_correlation_table,
     construct_gcap_general,
     construct_mate,
@@ -59,6 +60,8 @@ def test_value_arithmetic_and_equality():
     assert i_unit.to_complex() == pytest.approx(1j)
     assert i_unit.conjugate().to_complex() == pytest.approx(-1j)
     assert i_unit != 0 and i_unit.as_int() is None
+    v = CorrelationValue(6, (3, -1, 0, 2, 5, 0))
+    assert (-v).counts == (-3, 1, 0, -2, -5, 0) and (v + -v).is_zero()
     with pytest.raises(ValueError):
         a + i_unit
 
@@ -145,6 +148,7 @@ def test_autocorrelation_symmetry_exact():
         t = auto_correlation_table(arr)
         for u1, u2 in t.shifts():
             assert t.value(u1, -u2).counts == t.value(-u1, u2).conjugate().counts
+            assert auto_correlation(arr, u1, u2).counts == t.value(u1, u2).counts
 
 
 def test_cross_agrees_with_naive_complex():

@@ -68,8 +68,9 @@ def test_save_and_load_array(tmp_path):
         path = tmp_path / f"arr.{fmt}"
         formats.save_array(arr, path, fmt=fmt)
         assert formats.load_array(path) == arr
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown array format 'xml'"):
         formats.save_array(arr, tmp_path / "arr.x", fmt="xml")
+    assert not (tmp_path / "arr.x").exists()
 
 
 def test_value_formatting():

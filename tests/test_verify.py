@@ -77,6 +77,8 @@ def test_is_gcap_minimal_pair():
 def test_is_gcap_shape_mismatch():
     with pytest.raises(ValueError):
         is_gcap(QaryArray(2, [[0, 0]]), QaryArray(2, [[0], [1]]))
+    with pytest.raises(ValueError, match="need at least one array"):
+        is_gcas([])
 
 
 def test_is_mate_reference_pairs():

@@ -78,7 +78,8 @@ def _int_array(values, name: str) -> np.ndarray:
         arr = np.asarray(values)
     except ValueError:  # numpy refuses ragged nested lists
         arr = None
-    if arr is None or arr.dtype.kind not in "iu":
+    # An empty list is float64 to numpy; its shape is the caller's to judge.
+    if arr is None or (arr.dtype.kind not in "iu" and arr.size):
         got = "a ragged list" if arr is None else f"dtype {arr.dtype}"
         raise ValueError(f"{name} must be a rectangular array of integers, got {got}")
     # One copy: a list or tuple was just converted, anything else may be shared.

@@ -19,7 +19,7 @@ import sys
 
 from . import __version__
 from . import formats
-from .boolfunc import _at_least
+from .boolfunc import _at_least, require_even_q
 # gdj_pair and gcs_1d are unused here but stay bound: bench/tracing.py wraps them by name.
 from .constructions import (
     DEFAULT_ENUM_BUDGET,
@@ -66,6 +66,16 @@ def _load_json(path) -> dict:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _load_arrays(paths, q) -> list:
+    """The arrays of the files; a bad --q is named once, before any file is read."""
+    if q is not None:
+        try:
+            require_even_q(q)
+        except ValueError as exc:
+            raise ValueError(f"--q: {exc}") from exc
+    return [formats.load_array(path, q=q) for path in paths]
+
+
 def _emit(text: str, out_path=None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -106,7 +116,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    arrays = [formats.load_array(path, q=args.q) for path in args.files]
+    arrays = _load_arrays(args.files, args.q)
     if args.kind == "gcap":
         if len(arrays) != 2:
             raise ValueError("verify gcap needs exactly 2 array files")
@@ -128,13 +138,11 @@ def cmd_corr(args) -> int:
     if args.cross:
         if len(args.files) != 2:
             raise ValueError("corr --cross needs exactly 2 array files")
-        c = formats.load_array(args.files[0], q=args.q)
-        d = formats.load_array(args.files[1], q=args.q)
-        table = cross_correlation_table(c, d)
+        table = cross_correlation_table(*_load_arrays(args.files, args.q))
     else:
         if len(args.files) != 1:
             raise ValueError("corr needs exactly 1 array file (or 2 with --cross)")
-        table = auto_correlation_table(formats.load_array(args.files[0], q=args.q))
+        table = auto_correlation_table(*_load_arrays(args.files, args.q))
     if args.format == "csv":
         _emit(formats.correlation_table_to_csv(table), args.out)
     else:
@@ -143,7 +151,7 @@ def cmd_corr(args) -> int:
 
 
 def cmd_papr(args) -> int:
-    arr = formats.load_array(args.file, q=args.q)
+    [arr] = _load_arrays([args.file], args.q)
     spec = None
     if args.spec:
         spec = formats.parse_pair_spec(_load_json(args.spec))

@@ -115,11 +115,6 @@ def reduction_matrix(q: int) -> np.ndarray:
     return matrix
 
 
-@lru_cache(maxsize=None)
-def _reduction_columns(q: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(col) for col in reduction_matrix(q).T.tolist())
-
-
 def _complex_values(q: int, counts) -> np.ndarray:
     """The complex values of an (..., q) array of count vectors, shape (...).
 
@@ -137,11 +132,6 @@ def _complex_values(q: int, counts) -> np.ndarray:
         values.real += counts[..., e] * root.real
         values.imag += counts[..., e] * root.imag
     return values
-
-
-def _reduce_counts(q: int, counts: tuple[int, ...]) -> tuple[int, ...]:
-    """counts @ reduction_matrix(q) for one count vector, in plain Python ints."""
-    return tuple(sum(c * r for c, r in zip(counts, col)) for col in _reduction_columns(q))
 
 
 class CorrelationValue:
@@ -162,7 +152,8 @@ class CorrelationValue:
             raise ValueError(f"need exactly q={q} exponent counts, got {len(counts)}")
         self.q = q
         self.counts = counts
-        self.reduced = _reduce_counts(q, counts)
+        # Object dtype keeps Python ints, so counts beyond int64 stay exact.
+        self.reduced = tuple((np.array(counts, dtype=object) @ reduction_matrix(q)).tolist())
 
     @classmethod
     def zero(cls, q) -> "CorrelationValue":
@@ -199,8 +190,7 @@ class CorrelationValue:
     def __sub__(self, other):
         if not isinstance(other, CorrelationValue):
             return NotImplemented
-        self._require_same_q(other)
-        return CorrelationValue(self.q, tuple(a - b for a, b in zip(self.counts, other.counts)))
+        return self + -other
 
     def conjugate(self) -> "CorrelationValue":
         """Complex conjugate: every exponent e is replaced by -e mod q."""
@@ -471,9 +461,10 @@ def spectral_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> 
        f = d + eps (1 + d), and ||Zhat||_inf <= K M with K = 1 + f sqrt(P),
        as sqrt(M) <= M.
     2. Spectrum.  Per pair, the computed inputs move Z_c conj(Z_d) by at
-       most sqrt(P) M^(3/2) f (K + 1) in 2-norm.  A complex product is
-       rounded within sqrt(2) g_2 of its modulus (a |Z|^2 within g_2), and
-       the sum over the N pairs within g_N of the sum of the moduli, so
+       most sqrt(P) M^(3/2) f (K + 1) in 2-norm.  Every pair, an
+       autocorrelation too, forms this one complex product, which is
+       rounded within sqrt(2) g_2 of its modulus, and the sum over the N
+       pairs within g_N of the sum of the moduli, so
        g = sqrt(2) g_2 + g_N (1 + sqrt(2) g_2) adds at most
        g (1 + f) K sqrt(P) M^(3/2) per pair.  Hence
        ||Shat - S||_2 <= N sqrt(P) M^(3/2) h, h = f (K + 1) + g (1 + f) K.
@@ -535,7 +526,8 @@ def _spectral_pass(pairs, expected_center: int) -> bool | None:
     |sigma_j| of at least 1/2 leaves the exact one above 0, so that alpha
     is not zero: the result is False, a proven failure.  None means the
     pass decided nothing, because the bound is not below 1/2.  Arrays that
-    occur in several pairs are transformed once; q = 2 uses rfft2.
+    occur in several pairs are transformed once, and every pair, an
+    autocorrelation too, adds one product X_c conj(X_d); q = 2 uses rfft2.
     """
     c = pairs[0][0]
     q, L1, L2 = c.q, c.L1, c.L2
@@ -544,18 +536,15 @@ def _spectral_pass(pairs, expected_center: int) -> bool | None:
         return None
     arrays = list({id(a): a for pair in pairs for a in pair}.values())
     slot = {id(a): k for k, a in enumerate(arrays)}
-    left = [slot[id(a)] for a, _ in pairs]
-    right = [slot[id(b)] for _, b in pairs]
+    index = [(slot[id(a)], slot[id(b)]) for a, b in pairs]
     block = np.stack([a.entries for a in arrays])
     forward, inverse = (np.fft.rfft2, np.fft.irfft2) if q == 2 else (np.fft.fft2, np.fft.ifft2)
     for j in _embeddings(q):
         spectra = forward(_embedding_roots(q, j)[block], s=shape)
-        x = spectra[left]
-        if left == right:
-            products = x.real ** 2 + x.imag ** 2
-        else:
-            products = x * spectra[right].conj()
-        values = inverse(products.sum(axis=0), s=shape)
+        # Pair by pair, on views of the spectra: stacked copies of the pairs'
+        # spectra cost more in freshly touched pages than the products do.
+        products = sum(spectra[a] * spectra[b].conj() for a, b in index)
+        values = inverse(products, s=shape)
         values[0, 0] -= expected_center
         largest = np.abs(values).max()
         if largest >= 0.5:
@@ -660,9 +649,6 @@ def correlation_sum(values, q: int | None = None) -> CorrelationValue:
         if q is None:
             raise ValueError("q is required to sum an empty collection of values")
         return CorrelationValue.zero(q)
-    total = values[0]
-    if q is not None and total.q != q:
-        raise ValueError(f"alphabet mismatch: q={total.q} vs q={q}")
-    for v in values[1:]:
-        total = total + v
-    return total
+    if q is not None and values[0].q != q:
+        raise ValueError(f"alphabet mismatch: q={values[0].q} vs q={q}")
+    return sum(values[1:], values[0])

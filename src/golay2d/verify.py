@@ -8,14 +8,15 @@ are tested for zero algebraically, never through a float tolerance.
 
 Every checker goes through one check kernel, _check.  Its centre, the
 exact sum at the origin, is N*L1*L2 for autocorrelations and one bincount
-of the differences of the paired arrays otherwise.  A check of at most
-_DIRECT_PAIRS cell pairs sums exact count tensors and compares them,
-reduced modulo the cyclotomic polynomial, with the expected centre.  A
-larger one first tries the norm-certified spectral pass of
-correlation._spectral_pass, which builds no count tensor.  It answers a
-certified pass, and a proven failure when no violation is to be listed;
-every other check falls back to the count tensors, so every violation
-list and its values come from them.
+of the differences of the paired arrays otherwise.  Every path subtracts
+that centre at the origin and then tests each shift for zero.  A check of
+at most _DIRECT_PAIRS cell pairs does so on the sum of exact count
+tensors, reduced modulo the cyclotomic polynomial.  A larger one first
+tries the norm-certified spectral pass of correlation._spectral_pass,
+which builds no count tensor.  It answers a certified pass, and a proven
+failure when no violation is to be listed; every other check falls back
+to the count tensors, so every violation list and its values come from
+them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .correlation import (
     _spectral_pass,
     auto_correlation_table,
     cross_correlation_table,
-    reduction_matrix,
 )
 
 __all__ = [
@@ -69,14 +69,6 @@ class VerificationResult:
     notes: tuple[str, ...] = ()
 
 
-def _expected_reduced(q: int, L1: int, L2: int, expected_center: int) -> np.ndarray:
-    """The reduced tensor of a table that is expected_center at (0, 0) and 0 elsewhere."""
-    matrix = reduction_matrix(q)
-    expected = np.zeros((2 * L1 - 1, 2 * L2 - 1, matrix.shape[1]), dtype=np.int64)
-    expected[L1 - 1, L2 - 1] = expected_center * matrix[0]
-    return expected
-
-
 def _check(pairs, expected_center, max_violations):
     """The one check kernel: the summed correlations of the pairs equal the expected centre.
 
@@ -85,7 +77,8 @@ def _check(pairs, expected_center, max_violations):
     builds no table when the spectral pass certifies it, or proves it
     false with max_violations 0: a failure then lists no violation and is
     truncated, as the tensors would report it.  Every other check sums the
-    tables and lists the shifts whose reduced sum is not the expected one.
+    tables, subtracts the expected centre at the origin from the reduced
+    sum (row 0 of reduction_matrix is e_0) and lists the shifts left nonzero.
     """
     c = pairs[0][0]
     q, L1, L2 = c.q, c.L1, c.L2
@@ -102,7 +95,9 @@ def _check(pairs, expected_center, max_violations):
         auto_correlation_table(a) if a is b else cross_correlation_table(a, b) for a, b in pairs
     ]
     total = sum(tables[1:], tables[0])
-    bad = (total.reduced() != _expected_reduced(q, L1, L2, expected_center)).any(axis=-1)
+    reduced = total.reduced()
+    reduced[L1 - 1, L2 - 1, 0] -= expected_center
+    bad = reduced.any(axis=-1)
     found = np.flatnonzero(bad)
     kept = found[:max_violations]
     u1 = (kept // (2 * L2 - 1) - (L1 - 1)).tolist()
@@ -188,14 +183,14 @@ def brute_force_gcaps(q, L1, L2, budget: int = DEFAULT_PAIR_BUDGET):
         )
     powers = q ** np.arange(L1 * L2 - 1, -1, -1, dtype=np.int64)
     digits = (np.arange(n_arrays, dtype=np.int64)[:, None] // powers) % q
-    expected = _expected_reduced(q, L1, L2, 2 * L1 * L2)
     arrays = QaryArray._stack(q, digits.reshape(n_arrays, L1, L2))
     partners = []
     by_table: dict[bytes, list[int]] = {}
     for index, a in enumerate(arrays):
         reduced = auto_correlation_table(a).reduced()
         by_table.setdefault(reduced.tobytes(), []).append(index)
-        partners.append((expected - reduced).tobytes())
+        reduced[L1 - 1, L2 - 1, 0] -= 2 * L1 * L2
+        partners.append((-reduced).tobytes())
     return [
         (arrays[ia], arrays[ib])
         for ia in range(n_arrays)

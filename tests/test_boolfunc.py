@@ -59,6 +59,8 @@ def test_eval_demo_function():
     assert np.array_equal(f.to_array().entries, golden.EVAL_DEMO_ARRAY)
     assert f.to_string() == "2*z1 + z2 + 3*z3*z5 + 2*z4"
     assert f.to_string("xy") == "2*y1 + y2 + 3*x1*x3 + 2*x2"
+    with pytest.raises(ValueError, match="style must be 'z' or 'xy'"):
+        f.to_string("ab")
 
 
 def test_eval_zero_function():

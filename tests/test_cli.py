@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from golay2d import QaryArray, construct_gcap_general, construct_mate
-from golay2d import formats
+from golay2d import cli, formats
 from golay2d.cli import build_parser, main
 from golay2d.constructions import DEFAULT_ENUM_BUDGET
 from golay2d.verify import DEFAULT_MAX_VIOLATIONS, DEFAULT_PAIR_BUDGET
@@ -211,10 +211,16 @@ def test_papr_env_oversampling(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["oversampling"] == 64
 
 
-def test_enumerate_agreement(capsys):
+def test_enumerate_agreement(monkeypatch, capsys):
     assert main(["enumerate", "2", "1", "1"]) == 0
     out = capsys.readouterr().out
     assert "formula: 8" in out and "distinct arrays: 8" in out and "agreement: yes" in out
+    # a count that disagrees with the stream exits 1 and says so
+    monkeypatch.setattr(cli, "count_general_gcaps", lambda q, n, m: 9)
+    assert main(["enumerate", "2", "1", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "formula: 9" in captured.out and "agreement" not in captured.out
+    assert captured.err == "disagreement between enumeration and formula\n"
 
 
 def test_enumerate_over_budget_skips(capsys):
@@ -332,15 +338,30 @@ def test_file_input_errors_exit_2(tmp_path, capsys):
     malformed.write_text('{"q": 4,, }')
     listed = tmp_path / "listed.json"
     listed.write_text("[[0, 1]]\n")
+    header_only, no_entries = tmp_path / "header_only.csv", tmp_path / "no_entries.json"
+    header_only.write_text("# q=4\n")
+    no_entries.write_text('{"q": 4, "entries": []}\n')
+    bare = tmp_path / "bare.csv"
+    bare.write_text("0,1\n1,0\n")
     decode_error = f"{malformed}: Expecting property name"
+    # a bad --q is named before any file is read, with or without a q header
+    bad_q = "--q: alphabet size q must be an even integer >= 2, got "
     for argv, message in (
         (["verify", "gcap", str(good), str(bad)], f"{bad}: entries must lie in 0..3"),
         (["corr", str(malformed)], decode_error),
         (["corr", str(listed)], f"{listed}: array CSV line 1"),
+        (["corr", str(header_only)], f"{header_only}: entries must form a nonempty 2-D array"),
+        (["corr", str(no_entries)], f"{no_entries}: entries must form a nonempty 2-D array"),
         (["gen", "gdj", "--spec", str(malformed), "--out", str(tmp_path / "x")], decode_error),
         (["papr", str(good), "--spec", str(malformed)], decode_error),
         (["verify", "gcap", str(good)], "verify gcap needs exactly 2 array files"),
         (["verify", "gcap", *[str(good)] * 3], "verify gcap needs exactly 2 array files"),
+        (["verify", "gcap", str(bare), str(bare), "--q", "3"], bad_q + "3"),
+        (["verify", "gcap", str(good), str(good), "--q", "0"], bad_q + "0"),
+        (["corr", str(good), "--q", "3"], bad_q + "3"),
+        (["corr", "--cross", str(bare), str(bare), "--q", "0"], bad_q + "0"),
+        (["papr", str(bare), "--q", "0"], bad_q + "0"),
+        (["papr", str(good), "--q", "3"], bad_q + "3"),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

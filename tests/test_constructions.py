@@ -222,6 +222,13 @@ def test_gcas_validation():
         GcasSpec(2, 2, 3, ((1, 2), (4, 5)))
     with pytest.raises(ValueError):
         GcasSpec(2, 2, 3, ((1, 2, 3), (), (4, 5)))
+    # a malformed field of either spec kind is named
+    for make, message in (
+        (lambda: GcasSpec(2, 1, 1, "12"), "blocks must be a list of index lists"),
+        (lambda: GcapGeneralSpec(4, 1, 1, (1, 2), p=(1,)), "p must have length 2, got 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
     # numpy integers and arrays pass as their Python values.
     spec = GcasSpec(np.int64(2), np.int8(2), 3, [np.array([4, 2, 5]), (1, 3)], np.zeros(5, int), np.int32(0))
     assert spec == golden.gcas_q2_spec() and type(spec.blocks[0][0]) is int

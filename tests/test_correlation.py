@@ -64,6 +64,15 @@ def test_value_arithmetic_and_equality():
     assert (-v).counts == (-3, 1, 0, -2, -5, 0) and (v + -v).is_zero()
     with pytest.raises(ValueError):
         a + i_unit
+    with pytest.raises(ValueError):
+        a - i_unit
+    # counts beyond int64 stay exact Python ints
+    assert CorrelationValue(2, (10**30, 10**30)).is_zero()
+    for q in (2, 4, 6, 8, 12):
+        assert CorrelationValue.from_int(10**30 + 1, q).as_int() == 10**30 + 1
+    big = CorrelationValue(6, (10**30, -1, 0, 2, 10**40, 0))
+    assert all(type(r) is int for r in big.reduced)
+    assert (big - big).is_zero() and correlation_sum([big, -big]).is_zero()
 
 
 def test_to_complex_examples():

@@ -60,6 +60,8 @@ def test_array_csv_headerless_needs_q():
 def test_array_json_round_trip():
     arr = QaryArray(4, golden.EVAL_DEMO_ARRAY)
     assert formats.array_from_json_dict(formats.array_to_json_dict(arr)) == arr
+    with pytest.raises(ValueError, match="malformed array JSON"):
+        formats.array_from_json_dict({"q": 4})
 
 
 def test_save_and_load_array(tmp_path):
@@ -102,6 +104,8 @@ def test_table_csv_round_trip_binary():
     # the corner value at (-(L1-1), -(L2-1))
     first_row = text.splitlines()[1].split(",")
     assert first_row[0] == "1" and len(first_row) == 15
+    with pytest.raises(ValueError, match="odd row and column counts"):
+        formats.correlation_table_from_csv("# q=2\n1,0,1\n0,4,0\n")
 
 
 def test_table_csv_round_trip_quaternary():
@@ -185,6 +189,8 @@ def test_spec_json_round_trip():
             else "gcas"
         )
         assert formats.parse_construction_spec(kind, json.loads(json.dumps(doc))) == spec
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        formats.spec_to_json_dict(object())
 
 
 def test_report_json_dicts():
@@ -211,6 +217,8 @@ def test_table_json_is_the_count_tensor():
     assert formats.correlation_table_to_json_dict(table)["counts"] == table.counts.tolist()
     with pytest.raises(ValueError):
         formats.correlation_table_from_json_dict({"q": 6, "L1": 3, "L2": 5, "counts": [[[1]]]})
+    with pytest.raises(ValueError, match="malformed table JSON"):
+        formats.correlation_table_from_json_dict({"q": 2})
 
 
 def _per_cell_csv(table) -> str:

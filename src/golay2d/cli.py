@@ -34,7 +34,7 @@ from .constructions import (
     gdj_pair,
 )
 from .correlation import auto_correlation_table, cross_correlation_table
-from .papr import DEFAULT_OVERSAMPLING, papr_report
+from .papr import DEFAULT_OVERSAMPLING, _MIN_OVERSAMPLING, papr_report
 from .verify import (
     DEFAULT_MAX_VIOLATIONS,
     DEFAULT_PAIR_BUDGET,
@@ -49,19 +49,26 @@ OVERSAMPLE_ENV = "GOLAY2D_OVERSAMPLE"
 
 
 def _default_oversampling() -> int:
+    """The papr oversampling factor set by GOLAY2D_OVERSAMPLE; an error names the variable."""
     raw = os.environ.get(OVERSAMPLE_ENV)
     if raw is None:
         return DEFAULT_OVERSAMPLING
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise ValueError(f"{OVERSAMPLE_ENV} must be an integer, got {raw!r}") from exc
+    try:
+        return _at_least(value, _MIN_OVERSAMPLING, "oversampling")
+    except ValueError as exc:
+        raise ValueError(f"{OVERSAMPLE_ENV}: {exc}") from exc
 
 
-def _load_json(path) -> dict:
+def _load_spec(path, parse) -> tuple:
+    """The JSON document of a spec file and parse(document); an error names the file once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
+        return doc, parse(doc)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -85,8 +92,8 @@ def _emit(text: str, out_path=None):
 
 
 def cmd_gen(args) -> int:
-    spec_dict = _load_json(args.spec)
-    parsed = formats.parse_construction_spec(args.kind, spec_dict)
+    spec_dict, parsed = _load_spec(
+        args.spec, lambda doc: formats.parse_construction_spec(args.kind, doc))
     # Built per call, so that names patched on this module are the ones called.
     names, build = {
         "gcap-basic": (("c", "d"), construct_gcap_basic),
@@ -154,7 +161,7 @@ def cmd_papr(args) -> int:
     [arr] = _load_arrays([args.file], args.q)
     spec = None
     if args.spec:
-        spec = formats.parse_pair_spec(_load_json(args.spec))
+        _, spec = _load_spec(args.spec, formats.parse_pair_spec)
     oversampling = args.oversample if args.oversample is not None else _default_oversampling()
     report = papr_report(arr, spec=spec, oversampling=oversampling)
     if args.json:

@@ -13,8 +13,8 @@ samples a subgrid of 16 points per 1/L on blocks of rows of bounded size,
 and a curvature bound on |S|^2 names the few windows of the full grid that
 can hold the best sample, which are then evaluated directly.  The
 refinement runs in lockstep for all rows: each step evaluates S, S' and S''
-of every row in one vectorised pass, with each exponential split into two
-short factors.  The Newton search on the derivative of |S|^2 settles the
+of every row by their definition, as one block of exponentials and one
+product.  The Newton search on the derivative of |S|^2 settles the
 rows of the constructions in at most three steps at the default R = 256
 and in at most six at R = 4 or 5; a peak that lies on the grid ends it at
 the first step.
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 DEFAULT_OVERSAMPLING = 256
+_MIN_OVERSAMPLING = 4
 _REFINE_TOL = 1e-10
 # Samples per 1/L on the coarse subgrid that locates each row's best sample.
 _COARSE_OVERSAMPLING = 16
@@ -79,28 +80,10 @@ def run_partition(indices) -> RunPartition:
     return RunPartition(frozenset(idx), tuple(runs))
 
 
-def _phase_grid(coeffs: np.ndarray) -> np.ndarray:
-    """The rows of coeffs (S, J, L), zero-padded and folded to (S, B, J, C) with B*C >= L.
-
-    Entry [s, a, j, b] is coefficient a + B*b of row (s, j), and B is a power
-    of two near sqrt(L), so exp(2*pi*i*(a + B*b)*t) splits into B + C
-    exponentials.  The result is contiguous, so one matmul per evaluation
-    takes the J rows of every s at once.
-    """
-    S, J, L = coeffs.shape
-    B = 1 << ((L - 1).bit_length() // 2)
-    C = -(-L // B)
-    grid = np.zeros((S, J, C * B), dtype=complex)
-    grid[..., :L] = coeffs
-    return np.ascontiguousarray(grid.reshape(S, J, C, B).transpose(0, 3, 1, 2))
-
-
-def _envelopes(grid: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Sum of every folded row of grid (S, B, J, C) at its point t (S,); shape (S, J)."""
-    S, B, J, C = grid.shape
-    low = np.exp(2j * np.pi * t[:, None, None] * np.arange(B))
-    high = np.exp(2j * np.pi * t[:, None, None] * (B * np.arange(C)))
-    return ((low @ grid.reshape(S, B, J * C)).reshape(S, J, C) * high).sum(axis=-1)
+def _envelopes(terms: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Sum over n of terms[s, j, n] * exp(2*pi*i*n*t[s]); terms (S, J, L), t (S,), shape (S, J)."""
+    phase = np.exp(2j * np.pi * np.outer(t, np.arange(terms.shape[-1])))
+    return (terms @ phase[:, :, None])[..., 0]
 
 
 def _coarse_step(oversampling: int) -> int:
@@ -151,7 +134,7 @@ def _refined_peaks(coeffs: np.ndarray, peak: np.ndarray, num: int) -> np.ndarray
 
     The search runs in the offset u from the sample, P(u) = |S(peak / num + u)|^2,
     whose coefficients are the row's twisted by exp(2*pi*i*n*peak / num).
-    Each step evaluates S, S' and S'' of every row at once and takes the
+    Each step evaluates S, S' and S'' of every row directly and takes the
     Newton step on P' = 2 Re(S' conj S), with P'' = 2 Re(S'' conj S) + 2|S'|^2.
     The sign of P' moves one end of the bracket, which starts as
     [-1/num, 1/num].  The step falls back to the bracket midpoint when
@@ -166,7 +149,7 @@ def _refined_peaks(coeffs: np.ndarray, peak: np.ndarray, num: int) -> np.ndarray
     twisted = coeffs * np.exp(2j * np.pi * (np.outer(peak, n) % num) / num)
     # S, S' and S'' in u: the coefficients weighted by 1, 2*pi*i*n and -(2*pi*n)^2.
     weights = np.stack([np.ones(len(n)), 2j * np.pi * n, -((2 * np.pi * n) ** 2)])
-    grid = _phase_grid(twisted[:, None, :] * weights)
+    terms = twisted[:, None, :] * weights
     lo = np.full(len(peak), -1 / num)
     hi = -lo
     u = np.zeros(len(peak))
@@ -174,7 +157,7 @@ def _refined_peaks(coeffs: np.ndarray, peak: np.ndarray, num: int) -> np.ndarray
     last = before = hi - lo
     active = np.ones(len(peak), dtype=bool)
     while active.any():
-        s, ds, d2s = _envelopes(grid, u).T
+        s, ds, d2s = _envelopes(terms, u).T
         power = np.where(active, s.real ** 2 + s.imag ** 2, power)
         slope = 2 * (ds * s.conj()).real
         curve = 2 * (d2s * s.conj()).real + 2 * (ds.real ** 2 + ds.imag ** 2)
@@ -198,8 +181,9 @@ def _paprs(seqs: np.ndarray, q: int, oversampling: int) -> np.ndarray:
     zero-padded inverse FFT on a coarser subgrid (see _grid_peaks), on blocks
     of rows that hold at most _BLOCK_POINTS coarse samples (one row when a
     single row is longer), and is then refined.  The refinement works on
-    chunks of rows whose S, S' and S'' coefficients number at most
-    _BLOCK_POINTS, so memory stays flat in S.
+    chunks of rows whose S, S' and S'' terms number at most _BLOCK_POINTS,
+    so memory stays flat in S, and each of its steps takes L exponentials
+    per row.
     """
     S, L = seqs.shape
     if L == 1:
@@ -231,7 +215,7 @@ def papr_sequence(seq, q, oversampling: int = DEFAULT_OVERSAMPLING) -> float:
     seq = np.asarray(_ints(list(seq), "sequence"), dtype=np.int64)
     if seq.size == 0:
         raise ValueError("expected a nonempty 1-D sequence")
-    oversampling = _at_least(oversampling, 4, "oversampling")
+    oversampling = _at_least(oversampling, _MIN_OVERSAMPLING, "oversampling")
     return float(_paprs(seq[None, :], q, oversampling)[0])
 
 
@@ -294,7 +278,7 @@ def papr_report(c: QaryArray, spec=None, oversampling: int = DEFAULT_OVERSAMPLIN
                 f"spec implies {1 << spec.n}x{1 << spec.m} but array is {c.L1}x{c.L2}"
             )
         row_bound, col_bound = papr_bounds(spec)
-    oversampling = _at_least(oversampling, 4, "oversampling")
+    oversampling = _at_least(oversampling, _MIN_OVERSAMPLING, "oversampling")
     return PaprReport(
         _axis_paprs(c.entries, c.q, oversampling),
         _axis_paprs(c.entries.T, c.q, oversampling),

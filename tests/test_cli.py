@@ -101,7 +101,7 @@ def test_gen_mistyped_spec_field_exits_2(tmp_path, capsys, kind, doc, message):
     assert main(["gen", kind, "--spec", spec, "--out", str(tmp_path / "x")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert _one_line_error(captured.err).startswith(f"error: {message}")
+    assert _one_line_error(captured.err).startswith(f"error: {spec}: {message}")
 
 
 def test_verify_mate_and_failure_paths(tmp_path, capsys):
@@ -285,17 +285,24 @@ def test_verify_negative_max_violations_exits_2(tmp_path, capsys):
 
 
 def test_bad_oversample_env_only_affects_papr(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GOLAY2D_OVERSAMPLE", "lots")
     c, d = construct_gcap_general(golden.general_q2_spec())
     paths = [str(tmp_path / "c.csv"), str(tmp_path / "d.csv")]
     formats.save_array(c, paths[0])
     formats.save_array(d, paths[1])
-    assert main(["verify", "gcap", *paths]) == 0
-    assert json.loads(capsys.readouterr().out)["passed"]
-    assert main(["papr", paths[0], "--json"]) == 2
-    assert "GOLAY2D_OVERSAMPLE must be an integer" in _one_line_error(capsys.readouterr().err)
-    assert main(["papr", paths[0], "--json", "--oversample", "8"]) == 0
-    assert json.loads(capsys.readouterr().out)["oversampling"] == 8
+    for value, message in (
+        ("lots", "GOLAY2D_OVERSAMPLE must be an integer, got 'lots'"),
+        ("3", "GOLAY2D_OVERSAMPLE: oversampling must be at least 4, got 3"),
+        ("0", "GOLAY2D_OVERSAMPLE: oversampling must be at least 4, got 0"),
+    ):
+        monkeypatch.setenv("GOLAY2D_OVERSAMPLE", value)
+        assert main(["verify", "gcap", *paths]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+        assert main(["papr", paths[0], "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line_error(captured.err) == f"error: {message}"
+        assert main(["papr", paths[0], "--json", "--oversample", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["oversampling"] == 8
 
 
 def test_search_nonpositive_size_exits_2(capsys):
@@ -343,6 +350,12 @@ def test_file_input_errors_exit_2(tmp_path, capsys):
     no_entries.write_text('{"q": 4, "entries": []}\n')
     bare = tmp_path / "bare.csv"
     bare.write_text("0,1\n1,0\n")
+    binary, wide = tmp_path / "binary.csv", tmp_path / "wide.csv"
+    binary.write_text("# q=2\n0,1\n1,0\n")
+    wide.write_text("# q=4\n0,1,2\n2,3,0\n")
+    bool_q = write_spec(tmp_path, "bool_q.json", {"q": True, "n": 1, "m": 1, "pi": [1, 2]})
+    gdj = write_spec(tmp_path, "gdj.json", {"q": 2, "m": 2, "pi": [1, 2]})
+    missing_dir = tmp_path / "missing"
     decode_error = f"{malformed}: Expecting property name"
     # a bad --q is named before any file is read, with or without a q header
     bad_q = "--q: alphabet size q must be an even integer >= 2, got "
@@ -362,6 +375,16 @@ def test_file_input_errors_exit_2(tmp_path, capsys):
         (["corr", "--cross", str(bare), str(bare), "--q", "0"], bad_q + "0"),
         (["papr", str(bare), "--q", "0"], bad_q + "0"),
         (["papr", str(good), "--q", "3"], bad_q + "3"),
+        (["papr", str(good), "--spec", bool_q], f"{bool_q}: q must be an integer, got True"),
+        (["verify", "gcap", str(good), str(binary)], "alphabet mismatch: q=4 vs q=2"),
+        (["verify", "gcap", str(good), str(wide)], "shape mismatch: 2x2 vs 2x3"),
+        (["corr", "--cross", str(good), str(binary)], "alphabet mismatch: q=4 vs q=2"),
+        (["corr", "--cross", str(good), str(wide)], "shape mismatch: 2x2 vs 2x3"),
+        (["verify", "gcs", str(good)], "sequence input is 2x2, expected one row"),
+        (["gen", "gdj", "--spec", gdj, "--out", str(missing_dir / "x")],
+         f"[Errno 2] No such file or directory: '{missing_dir / 'x'}_a.csv'"),
+        (["corr", str(good), "--out", str(missing_dir / "t.csv")],
+         f"[Errno 2] No such file or directory: '{missing_dir / 't.csv'}'"),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

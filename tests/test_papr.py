@@ -286,3 +286,47 @@ def test_refinement_takes_few_rounds(monkeypatch):
                 if R * L % 2 == 0:  # the alternating row peaks at t = 1/2
                     assert refine(np.arange(L)[None, :] * (q // 2) % q, q, R) == 1
             assert refine(np.array([[q // 2, 0]]), q, R) == 1
+
+
+def _reference_paprs(rows, q, R):
+    """PAPR per row by the definition: the best of the R*L samples of |S(t)|^2,
+    then a golden-section search of |S(t)|^2 over one sample either side."""
+    L = rows.shape[1]
+    num = R * L
+    n = np.arange(L)
+    z = np.exp(2j * np.pi * rows / q)
+    roots = np.exp(2j * np.pi * np.arange(num) / num)
+    samples = np.empty((len(rows), num))
+    for k0 in range(0, num, 2048):
+        k = np.arange(k0, min(num, k0 + 2048))
+        samples[:, k] = np.abs(z @ roots[np.outer(n, k) % num]) ** 2
+    best = samples.argmax(axis=1)
+    # Offsets u from each row's best sample, with its phase taken exactly.
+    twisted = z * roots[np.outer(best, n) % num]
+
+    def power(u):
+        return np.abs((twisted * np.exp(2j * np.pi * np.outer(u, n))).sum(axis=1)) ** 2
+
+    ratio = (math.sqrt(5) - 1) / 2
+    lo, hi = np.full(len(rows), -1 / num), np.full(len(rows), 1 / num)
+    peak = samples.max(axis=1)
+    for _ in range(80):
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        pa, pb = power(a), power(b)
+        peak = np.maximum(peak, np.maximum(pa, pb))
+        left = pa > pb
+        hi, lo = np.where(left, b, hi), np.where(left, lo, a)
+    return peak / L
+
+
+def test_refinement_matches_the_definition():
+    # The grid search and the Newton refinement against a reference that
+    # shares neither: every sample taken directly, then golden sections.
+    rng = np.random.default_rng(107)
+    for L in (2, 3, 5, 31, 100, 129):
+        for q in (2, 4, 6, 8, 12):
+            rows = rng.integers(0, q, (6, L))
+            for R in (4, 5, 256):
+                got = golay2d.papr._paprs(rows, q, R)
+                want = _reference_paprs(rows, q, R)
+                assert got == pytest.approx(want, rel=1e-12), (L, q, R)

@@ -25,9 +25,13 @@ and a nonzero alpha has a nonzero integer norm, the product of
 |sigma_j(alpha)| over the j coprime to q.  _spectral_pass computes
 sigma_j(alpha) at every shift by one complex FFT correlation of xi^(j c)
 per embedding j <= q/2.  When the a-priori bound of spectral_error_bound
-lies below 1/2, it certifies alpha = 0 everywhere if every computed value
-does too, and proves some alpha nonzero otherwise.  It builds no count
-tensor.
+lies below 1/2, a shift's alpha is nonzero exactly when some embedding's
+computed value there is at least 1/2, so the pass gives the exact set of
+violating shifts.  At the shifts a check lists, the correlations for the
+remaining j <= q/2 complete the length-q spectrum of the counts, and one
+length-q inverse DFT recovers them, rounded under the certificate of
+_count_error_bound.  It builds no count tensor; the tensors serve the
+small checks, the checks the pass cannot certify, and the table API.
 """
 
 from __future__ import annotations
@@ -267,6 +271,13 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
 
 
+def _fft_error(t: float) -> float:
+    """eps of fft_error_bound's FFT model for t = log2 of the transform size."""
+    mu = _TWIDDLE_ULPS * _UNIT_ROUNDOFF
+    eta = mu + _gamma(4) * (math.sqrt(2) + mu)
+    return t * eta / (1 - t * eta)
+
+
 def _transform_size(L: int) -> int:
     """Smallest power of two >= 2L - 1, so that no two shifts wrap onto each other."""
     return 1 << (2 * L - 2).bit_length()
@@ -331,11 +342,7 @@ def _correlation_error(P1: int, P2: int, cells: int, input_error: float, product
     magnitudes, and one inverse transform.  With input_error = 0 it is
     exactly fft_error_bound's formula.
     """
-    u = _UNIT_ROUNDOFF
-    t = math.log2(P1 * P2)
-    mu = _TWIDDLE_ULPS * u
-    eta = mu + _gamma(4) * (math.sqrt(2) + mu)
-    eps = t * eta / (1 - t * eta)
+    eps = _fft_error(math.log2(P1 * P2))
     f = input_error + eps * (1 + input_error)
     K = 1 + f * math.sqrt(P1 * P2)
     h = f * (K + 1) + product_error * (1 + f) * K
@@ -478,13 +485,56 @@ def spectral_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> 
        is below 1/2 and v < 1/2, the exact value is below
        1 / (2 (1 - g_3)) + 1/2 - g_3 < 1.
 
-    rfft2/irfft2 (q = 2, real z) are taken to obey the same bound, as in
+    rfft2/irfft2 (real z) are taken to obey the same bound, as in
     fft_error_bound.  It is about 2e-8 for a pair of 64 x 64 arrays.
     """
+    return _embedding_error(P1, P2, q, cells, members) + _gamma(3)
+
+
+def _embedding_error(P1: int, P2: int, q: int, cells: int, members: int) -> float:
+    """B of spectral_error_bound step 3: the error of every entry of one summed correlation of xi^(j c)."""
     root = 0.0 if 4 % q == 0 else _ROOT_ULPS * _UNIT_ROUNDOFF
     product = math.sqrt(2) * _gamma(2)
     product += _gamma(members) * (1 + product)
-    return members * _correlation_error(P1, P2, cells, root, product) + _gamma(3)
+    return members * _correlation_error(P1, P2, cells, root, product)
+
+
+def _count_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> float:
+    """A-priori bound on |computed - exact| for every count that _kept_counts recovers.
+
+    The counts n_e at one shift, of N = members pairs of arrays of
+    M = cells entries, come from r_0..r_(q/2) (see _kept_counts), with
+    transforms of size P1 x P2 as in the spectral pass.  eps, g_k and the
+    FFT model are fft_error_bound's.
+
+    1. Inputs.  r_0 is exact.  Each other r_j is computed like the
+       spectral pass's correlations, and steps 1-3 of spectral_error_bound
+       hold for any j: the roots xi^(j e) are exact at a multiple of a
+       quarter turn and within _ROOT_ULPS u otherwise, as for the coprime
+       j.  So each computed r_j is within B = N M^(3/2) (h + eps (1 + h))
+       of the exact one.  Conjugation and the Hermitian extension are
+       exact, so the length-q input y of the inverse transform is off by
+       delta with |delta_j| <= B in each of its q entries.
+    2. Propagation.  The exact normalised inverse DFT (1/q) F* delta has
+       entries at most (1/q) sum_j |delta_j| <= B, and 2-norm
+       ||delta||_2 / sqrt(q) <= B.
+    3. Rounding.  The length-q inverse transform is taken to obey the FFT
+       model with t = q in place of log2 q: more stages than any
+       factorisation of q into radices has, an allowance for the
+       mixed-radix kernels that serve q = 6 and 12.  Scaling by 1/q adds
+       g_2 (1/q rounded, then one product).  So the computed counts differ
+       from (1/q) F* (y + delta) by at most e = eps_q + g_2 (1 + eps_q)
+       times its 2-norm, which is at most ||n||_2 + B <= N M + B: the n_e
+       are nonnegative and sum to N times the overlap, at most N M.
+
+    Every computed count is therefore within B + e (N M + B) of the exact
+    one.  For 8 arrays at q = 12 that is about 1e-7 at 64 x 64 and 1e-6 at
+    128 x 128, nearly all of it B; it passes 1/4 before 2^30 cells.
+    """
+    error = _fft_error(q)
+    error += _gamma(2) * (1 + error)
+    bound = _embedding_error(P1, P2, q, cells, members)
+    return bound + error * (members * cells + bound)
 
 
 def _embeddings(q: int) -> list[int]:
@@ -494,7 +544,7 @@ def _embeddings(q: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _embedding_roots(q: int, j: int) -> np.ndarray:
-    """sigma_j(xi^e) = xi^(j e) for e in Z_q; real for q = 2.  Read-only; cached.
+    """xi^(j e) for e in Z_q; real when 2j = 0 mod q.  Read-only; cached.
 
     Roots at a multiple of a quarter turn are exact, the others cmath's
     (see _ROOT_ULPS).
@@ -504,30 +554,60 @@ def _embedding_roots(q: int, j: int) -> np.ndarray:
         k = j * e % q
         roots.append((1, 1j, -1, -1j)[4 * k // q] if 4 * k % q == 0
                      else cmath.exp(2j * cmath.pi * k / q))
-    table = np.array(roots, dtype=np.float64 if q == 2 else np.complex128)
+    table = np.array(roots, dtype=np.float64 if 2 * j % q == 0 else np.complex128)
     table.setflags(write=False)
     return table
 
 
-def _spectral_pass(pairs, expected_center: int) -> bool | None:
-    """Whether the summed correlations equal expected_center at (0, 0) and 0 elsewhere, if certified.
+def _correlation(block, index, q: int, j: int, shape) -> np.ndarray:
+    """The summed correlations of xi^(j c) and xi^(j d) over the pairs, at every shift.
+
+    block stacks the distinct arrays and index lists each pair's (c, d)
+    slots in it.  Shift (u1, u2) is entry (u1 mod P1, u2 mod P2) of the
+    P1 x P2 = shape result; no shift reaches the other entries, which are
+    0 up to rounding.  Real roots (2j = 0 mod q) take rfft2 and give a real
+    result.  Each array is transformed once, and every pair, an
+    autocorrelation too, adds one product X_c conj(X_d).
+    """
+    roots = _embedding_roots(q, j)
+    real = roots.dtype == np.float64
+    forward, inverse = (np.fft.rfft2, np.fft.irfft2) if real else (np.fft.fft2, np.fft.ifft2)
+    spectra = forward(roots[block], s=shape)
+    # Pair by pair, on views of the spectra: stacked copies of the pairs'
+    # spectra cost more in freshly touched pages than the products do.
+    products = sum(spectra[a] * spectra[b].conj() for a, b in index)
+    return inverse(products, s=shape)
+
+
+def _spectral_pass(pairs, expected_center: int, max_violations: int):
+    """The shifts where the summed correlations miss their expected values, with exact counts, if certified.
 
     pairs lists (c, d) arrays of one alphabet and shape, c the shifted one
-    as in cross_correlation.  At each shift the summed correlation minus
-    the expected value is an algebraic integer alpha of Z[xi_q].  If alpha
+    as in cross_correlation; the expected value is expected_center at
+    (0, 0) and 0 elsewhere.  At each shift the summed correlation minus
+    its expected value is an algebraic integer alpha of Z[xi_q].  If alpha
     is not zero, its norm, the product of |sigma_j(alpha)| over the j
     coprime to q, is a nonzero rational integer, so some |sigma_j(alpha)|
-    is at least 1.  sigma_j(alpha) at every shift at once is one FFT
-    correlation of xi^(j c) and xi^(j d), summed over the pairs, less the
-    centre; sigma_(q-j) is its conjugate, so _embeddings(q) suffice.  Each
-    computed value is within spectral_error_bound of the exact one, so
-    when that bound and every computed |sigma_j| lie below 1/2, every
-    alpha is zero: the result is True.  Under the same bound, a computed
-    |sigma_j| of at least 1/2 leaves the exact one above 0, so that alpha
-    is not zero: the result is False, a proven failure.  None means the
-    pass decided nothing, because the bound is not below 1/2.  Arrays that
-    occur in several pairs are transformed once, and every pair, an
-    autocorrelation too, adds one product X_c conj(X_d); q = 2 uses rfft2.
+    is at least 1.  sigma_j(alpha) at every shift at once is _correlation
+    less the centre at the origin; sigma_(q-j) is its conjugate, so
+    _embeddings(q) suffice.  Each computed value is within
+    spectral_error_bound of the exact one, so when that bound lies below
+    1/2, a shift's alpha is nonzero exactly when some embedding's computed
+    |sigma_j| there is at least 1/2: the OR of the per-embedding masks is
+    the exact violation set.
+
+    Returns None when the pass decides nothing: the bound is not below
+    1/2, a computed value is NaN, or the counts cannot be certified.
+    Otherwise (kept, counts, truncated): kept holds the flat row-major
+    indices (u1 + L1 - 1) * (2*L2 - 1) + u2 + L2 - 1 of the first
+    max_violations violating shifts, counts the exact exponent counts of
+    the summed correlations, uncentred, at those shifts (_kept_counts),
+    and truncated whether more shifts violate.  The check passes exactly
+    when kept is empty and truncated false.  With max_violations 0 the
+    first embedding that shows a violation ends the pass; otherwise every
+    embedding runs.  An embedding's mask is built only once its largest
+    value reaches 1/2, so a passing check costs one correlation per
+    embedding.
     """
     c = pairs[0][0]
     q, L1, L2 = c.q, c.L1, c.L2
@@ -538,20 +618,60 @@ def _spectral_pass(pairs, expected_center: int) -> bool | None:
     slot = {id(a): k for k, a in enumerate(arrays)}
     index = [(slot[id(a)], slot[id(b)]) for a, b in pairs]
     block = np.stack([a.entries for a in arrays])
-    forward, inverse = (np.fft.rfft2, np.fft.irfft2) if q == 2 else (np.fft.fft2, np.fft.ifft2)
+    correlations = {}
+    bad = None
     for j in _embeddings(q):
-        spectra = forward(_embedding_roots(q, j)[block], s=shape)
-        # Pair by pair, on views of the spectra: stacked copies of the pairs'
-        # spectra cost more in freshly touched pages than the products do.
-        products = sum(spectra[a] * spectra[b].conj() for a, b in index)
-        values = inverse(products, s=shape)
-        values[0, 0] -= expected_center
-        largest = np.abs(values).max()
+        values = correlations[j] = _correlation(block, index, q, j, shape)
+        magnitude = np.abs(values)
+        magnitude[0, 0] = abs(values[0, 0] - expected_center)
+        largest = magnitude.max()
         if largest >= 0.5:
-            return False
-        if not largest < 0.5:  # NaN: nothing is decided
+            if not max_violations:
+                return np.empty(0, dtype=np.intp), np.empty((0, q), dtype=np.int64), True
+            bad = magnitude >= 0.5 if bad is None else bad | (magnitude >= 0.5)
+        elif not largest < 0.5:  # NaN: nothing is decided
             return None
-    return True
+    if bad is None:
+        return np.empty(0, dtype=np.intp), np.empty((0, q), dtype=np.int64), False
+    # Rolled by (L1 - 1, L2 - 1), entry (u1 mod P1, u2 mod P2) lands at
+    # (u1 + L1 - 1, u2 + L2 - 1): the shifts in row-major order.
+    found = np.flatnonzero(np.roll(bad, (L1 - 1, L2 - 1), axis=(0, 1))[:2 * L1 - 1, :2 * L2 - 1])
+    kept = found[:max_violations]
+    counts = _kept_counts(block, index, q, kept, correlations)
+    return None if counts is None else (kept, counts, len(found) > max_violations)
+
+
+def _kept_counts(block, index, q: int, kept, correlations):
+    """The exact (len(kept), q) exponent counts of the summed correlations at the flat shift indices kept.
+
+    At a shift, r_j = sum_e n_e xi^(j e) is the summed correlation under
+    sigma_j.  For j = 0..q/2: r_0 is the number of pairs times the overlap
+    (L1 - |u1|)(L2 - |u2|), an exact integer; a j in correlations reuses
+    the spectral pass's uncentred correlation; every other j is one more
+    _correlation.  The counts are real, so
+    n_e = (1/q) sum_(j in Z_q) conj(r_j) xi^(j e) with r_(q-j) = conj(r_j):
+    one length-q irfft of conj(r_0), ..., conj(r_(q/2)) per shift.  They
+    are rounded only under a certificate: the a-priori bound of
+    _count_error_bound and the observed distance to the nearest integers
+    must both lie below 1/4.  None means they could not be certified.
+    """
+    L1, L2 = block.shape[1:]
+    shape = (_transform_size(L1), _transform_size(L2))
+    u1 = kept // (2 * L2 - 1) - (L1 - 1)
+    u2 = kept % (2 * L2 - 1) - (L2 - 1)
+    at = (u1 % shape[0], u2 % shape[1])
+    spectrum = np.empty((q // 2 + 1, len(kept)), dtype=np.complex128)
+    spectrum[0] = len(index) * (L1 - np.abs(u1)) * (L2 - np.abs(u2))
+    for j in range(1, q // 2 + 1):
+        values = correlations[j] if j in correlations else _correlation(block, index, q, j, shape)
+        spectrum[j] = values[at]
+    counts = np.fft.irfft(spectrum.conj(), n=q, axis=0)
+    rounded = np.rint(counts)
+    deviation = float(np.abs(counts - rounded).max())
+    bound = _count_error_bound(*shape, q, L1 * L2, len(index))
+    if not (bound < _CERTIFIED and deviation < _CERTIFIED):
+        return None
+    return rounded.T.astype(np.int64)
 
 
 class CorrelationTable:

@@ -11,12 +11,14 @@ exact sum at the origin, is N*L1*L2 for autocorrelations and one bincount
 of the differences of the paired arrays otherwise.  Every path subtracts
 that centre at the origin and then tests each shift for zero.  A check of
 at most _DIRECT_PAIRS cell pairs does so on the sum of exact count
-tensors, reduced modulo the cyclotomic polynomial.  A larger one first
-tries the norm-certified spectral pass of correlation._spectral_pass,
-which builds no count tensor.  It answers a certified pass, and a proven
-failure when no violation is to be listed; every other check falls back
-to the count tensors, so every violation list and its values come from
-them.
+tensors, reduced modulo the cyclotomic polynomial.  A larger one takes its
+whole answer from the norm-certified spectral pass of
+correlation._spectral_pass, which builds no count tensor: the exact set of
+violating shifts, and the exact counts at the ones it lists.  Only a check
+that the pass cannot certify (its bound is not below 1/2, a value is NaN,
+or the counts cannot be rounded under their certificate) falls back to the
+count tensors.  Either path lists the same shifts with the same integer
+counts, so the same values, bit for bit.
 """
 
 from __future__ import annotations
@@ -74,11 +76,13 @@ def _check(pairs, expected_center, max_violations):
 
     pairs lists (c, d) arrays, c the shifted one as in cross_correlation;
     (a, a) stands for a's autocorrelation.  A check above _DIRECT_PAIRS
-    builds no table when the spectral pass certifies it, or proves it
-    false with max_violations 0: a failure then lists no violation and is
-    truncated, as the tensors would report it.  Every other check sums the
-    tables, subtracts the expected centre at the origin from the reduced
-    sum (row 0 of reduction_matrix is e_0) and lists the shifts left nonzero.
+    takes its whole answer from the spectral pass when that certifies it:
+    the violating shifts, and the exact counts at the first max_violations
+    of them.  Every other check sums the tables, subtracts the expected
+    centre at the origin from the reduced sum (row 0 of reduction_matrix
+    is e_0) and lists the shifts left nonzero.  Both give the violating
+    shifts in row-major order and the uncentred counts of the kept ones,
+    the same integers, so a listed value is the same float on either path.
     """
     c = pairs[0][0]
     q, L1, L2 = c.q, c.L1, c.L2
@@ -87,25 +91,27 @@ def _check(pairs, expected_center, max_violations):
     else:
         diffs = np.stack([a.entries - b.entries for a, b in pairs]) % q
         center = CorrelationValue(q, np.bincount(diffs.ravel(), minlength=q))
+    spectral = None
     if (L1 * L2) ** 2 > _DIRECT_PAIRS:
-        verdict = _spectral_pass(pairs, expected_center)
-        if verdict or (verdict is False and max_violations == 0):
-            return VerificationResult(verdict, (), center, expected_center, not verdict)
-    tables = [
-        auto_correlation_table(a) if a is b else cross_correlation_table(a, b) for a, b in pairs
-    ]
-    total = sum(tables[1:], tables[0])
-    reduced = total.reduced()
-    reduced[L1 - 1, L2 - 1, 0] -= expected_center
-    bad = reduced.any(axis=-1)
-    found = np.flatnonzero(bad)
-    kept = found[:max_violations]
+        spectral = _spectral_pass(pairs, expected_center, max_violations)
+    if spectral is None:
+        tables = [
+            auto_correlation_table(a) if a is b else cross_correlation_table(a, b) for a, b in pairs
+        ]
+        total = sum(tables[1:], tables[0])
+        reduced = total.reduced()
+        reduced[L1 - 1, L2 - 1, 0] -= expected_center
+        found = np.flatnonzero(reduced.any(axis=-1))
+        kept, truncated = found[:max_violations], len(found) > max_violations
+        counts = total.counts.reshape(-1, q)[kept]
+    else:
+        kept, counts, truncated = spectral
+    if not len(kept):
+        return VerificationResult(not truncated, (), center, expected_center, truncated)
     u1 = (kept // (2 * L2 - 1) - (L1 - 1)).tolist()
     u2 = (kept % (2 * L2 - 1) - (L2 - 1)).tolist()
-    values = _complex_values(q, total.counts.reshape(-1, q)[kept]).tolist()
-    violations = tuple(zip(zip(u1, u2), values))
-    truncated = len(found) > max_violations
-    return VerificationResult(not len(found), violations, center, expected_center, truncated)
+    violations = tuple(zip(zip(u1, u2), _complex_values(q, counts).tolist()))
+    return VerificationResult(False, violations, center, expected_center, truncated)
 
 
 def is_gcas(arrays, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> VerificationResult:

@@ -81,3 +81,11 @@ def count_value_inits(monkeypatch) -> list:
 
     monkeypatch.setattr(CorrelationValue, "__init__", counting)
     return calls
+
+
+def assert_same_result(result, reference):
+    """Two VerificationResults agree field for field: centre counts, and each listed value's bits."""
+    assert result == reference
+    assert result.center_value.counts == reference.center_value.counts
+    bits = [(shift, value.real.hex(), value.imag.hex()) for shift, value in result.violations]
+    assert bits == [(shift, value.real.hex(), value.imag.hex()) for shift, value in reference.violations]

@@ -19,6 +19,7 @@ from golay2d import (
 )
 from golay2d.correlation import (
     _complex_values,
+    _count_error_bound,
     _direct_tensor,
     _fft_tensor,
     _spectral_pass,
@@ -310,20 +311,42 @@ def test_spectral_error_bound_certifies_practical_sizes():
     assert spectral_error_bound(128, 128, 4, 4096, 4) > spectral_error_bound(128, 128, 4, 4096, 2)
 
 
+def test_count_error_bound_certifies_practical_sizes():
+    # The counts at kept shifts are rounded under this bound: 8 arrays of
+    # 64 x 64 at q = 12, and pairs and sets of 128 x 128, are certified;
+    # 2^30 cells are not.
+    assert _count_error_bound(128, 128, 12, 64 * 64, 8) < 0.25
+    for q in (2, 4, 8, 12):
+        assert _count_error_bound(256, 256, q, 128 * 128, 2) < 0.25
+    assert _count_error_bound(256, 256, 12, 128 * 128, 8) < 0.25
+    assert _count_error_bound(1 << 16, 1 << 16, 12, 1 << 30, 2) > 0.25
+    # It covers the decision's correlation error, and more members cost more.
+    assert _count_error_bound(128, 128, 8, 4096, 2) > spectral_error_bound(128, 128, 8, 4096, 2) - 1e-15
+    assert _count_error_bound(128, 128, 4, 4096, 4) > _count_error_bound(128, 128, 4, 4096, 2)
+
+
+def _spectral_passes(result):
+    kept, _, truncated = result
+    return not len(kept) and not truncated
+
+
 def test_spectral_pass_needs_every_embedding():
     # At the one shift of 1 x 1 arrays the summed cross-correlation is any
     # sum of roots of unity.  sqrt(2) - 1 in Z[xi_8] and sqrt(3) - 2 in
     # Z[xi_12] are nonzero but below 1/2 under sigma_1; sigma_3 and sigma_5
-    # show them.
+    # show them, to the verdict and to the list alike.
     def pairs(q, exponents):
         zero = QaryArray(q, [[0]])
         return [(QaryArray(q, [[e]]), zero) for e in exponents]
 
     for q, exponents in ((8, (1, 7, 4)), (12, (1, 11, 6, 6))):
         assert abs(sum(cmath.exp(2j * cmath.pi * e / q) for e in exponents)) < 0.5
-        assert not _spectral_pass(pairs(q, exponents), 0)
+        assert not _spectral_passes(_spectral_pass(pairs(q, exponents), 0, 0))
+        kept, counts, truncated = _spectral_pass(pairs(q, exponents), 0, 1)
+        assert kept.tolist() == [0] and not truncated
+        assert counts.tolist() == [np.bincount(exponents, minlength=q).tolist()]
         cancelled = exponents + tuple((e + q // 2) % q for e in exponents)
-        assert _spectral_pass(pairs(q, cancelled), 0)
+        assert _spectral_passes(_spectral_pass(pairs(q, cancelled), 0, 0))
 
 
 def test_reduction_matrix():

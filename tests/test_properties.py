@@ -19,6 +19,7 @@ from golay2d import (
     construct_gcap_general,
     construct_gcas,
     construct_mate,
+    correlation,
     cross_correlation,
     cross_correlation_table,
     enumerate_general_gcaps,
@@ -31,7 +32,7 @@ from golay2d.constructions import gcas_function, general_gcap_function
 from golay2d.correlation import _DIRECT_PAIRS, _spectral_pass
 from golay2d.papr import _paprs
 
-from helpers import sampled_max
+from helpers import assert_same_result, sampled_max
 
 
 @st.composite
@@ -268,12 +269,30 @@ def checks(draw):
     return kind, members
 
 
+def _through_the_tensors():
+    """Every check in this context takes the count tensors: the spectral bound is uncertified."""
+    return mock.patch.object(correlation, "spectral_error_bound", lambda *args: 1.0)
+
+
+def _assert_lists_agree(pairs, expected):
+    """The check kernel's result at caps 1, 3, the default and every shift is the tensors'."""
+    L1, L2 = pairs[0][0].L1, pairs[0][0].L2
+    caps = (1, 3, verify.DEFAULT_MAX_VIOLATIONS, (2 * L1 - 1) * (2 * L2 - 1))
+    with _through_the_tensors():
+        references = [verify._check(pairs, expected, cap) for cap in caps]
+    for cap, reference in zip(caps, references):
+        assert_same_result(verify._check(pairs, expected, cap), reference)
+    return references[0]
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(checks())
 def test_spectral_pass_agrees_with_the_tensors(case):
     # The spectral decision equals the exact one on both sides of the
-    # direct-count size, and a checker's result, spectral or not, equals
-    # the one the count tensors alone give, centre counts included.
+    # direct-count size; the check kernel's violation lists, their values
+    # and truncation at every cap, and a checker's result, spectral or
+    # not, equal the ones the count tensors alone give, centre counts
+    # included.
     kind, members = case
     if kind == "mate":
         c, d, c2, d2 = members
@@ -283,10 +302,27 @@ def test_spectral_pass_agrees_with_the_tensors(case):
         pairs = [(a, a) for a in members]
         expected = len(members) * members[0].L1 * members[0].L2
         check = lambda: is_gcas(members) if kind == "set" else is_gcap(*members)  # noqa: E731
-    with mock.patch.object(verify, "_spectral_pass", lambda pairs, expected: None):
-        exact = verify._check(pairs, expected, 1).violations == ()
+    with _through_the_tensors():
         reference = check()
-    assert _spectral_pass(pairs, expected) == exact
+    exact = _assert_lists_agree(pairs, expected).violations == ()
+    kept, _, truncated = _spectral_pass(pairs, expected, 0)
+    assert (not len(kept) and not truncated) == exact
     result = check()
     assert result == reference
     assert result.center_value.counts == reference.center_value.counts
+
+
+@pytest.mark.parametrize("q", (2, 4, 6, 8, 12))
+def test_violation_lists_on_random_arrays_agree_with_the_tensors(q):
+    # Shapes that are not powers of two, above the direct-count size:
+    # autocorrelation pairs, cross pairs with centre 0, and single arrays,
+    # one of them against a wrong centre, so that the origin is listed
+    # with its uncentred value.
+    rng = np.random.default_rng(71 + q)
+    for shape in ((9, 17), (13, 20), (1, 200)):
+        assert (shape[0] * shape[1]) ** 2 > _DIRECT_PAIRS
+        a, b, c, d = (QaryArray(q, rng.integers(0, q, shape)) for _ in range(4))
+        cells = shape[0] * shape[1]
+        checks = (([(a, a), (b, b)], 2 * cells), ([(a, b), (c, d)], 0), ([(a, a)], cells), ([(c, c)], cells + 1))
+        for pairs, expected in checks:
+            assert _assert_lists_agree(pairs, expected).violations

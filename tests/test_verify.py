@@ -1,3 +1,4 @@
+import cmath
 from functools import partial
 
 import numpy as np
@@ -24,7 +25,13 @@ from golay2d import (
 from golay2d import correlation, verify
 
 import golden
-from helpers import count_value_inits, random_basic_spec, random_gcas_spec, random_general_spec
+from helpers import (
+    assert_same_result,
+    count_value_inits,
+    random_basic_spec,
+    random_gcas_spec,
+    random_general_spec,
+)
 
 
 def test_is_gcs_on_sequence_pair():
@@ -323,7 +330,9 @@ def test_mate_preconditions_request_no_violations(monkeypatch):
 
     monkeypatch.setattr(verify, "_complex_values", recording)
     result = is_mate((bad, d), (cp, dp), max_violations=every)
-    assert rows[:2] == [0, 0] and len(rows) == 3
+    # The two precondition checks list nothing, so only the mate check
+    # turns counts into values.
+    assert rows == [len(expected[0])]
     assert not result.passed
     assert result.notes == ("first pair fails the complementary-pair condition",)
     assert (result.violations, result.truncated) == expected
@@ -379,32 +388,52 @@ def test_passing_checks_above_the_direct_size_build_no_tensor(monkeypatch):
         assert result.passed and not result.violations and not result.notes
 
 
+def _tensor_reference(monkeypatch, check):
+    """check() with the spectral bound uncertified, so through the count tensors."""
+    built = []
+    count_tensor = correlation._count_tensor
+    with monkeypatch.context() as patch:
+        patch.setattr(correlation, "spectral_error_bound", lambda *args: 1.0)
+        patch.setattr(correlation, "_count_tensor", lambda c, d: built.append(c) or count_tensor(c, d))
+        result = check()
+    assert built
+    return result
+
+
+def _no_tensor(c, d):
+    raise AssertionError("a check above the direct size built a count tensor")
+
+
 @pytest.mark.parametrize("q, n, m", [(2, 4, 4), (4, 3, 5), (6, 4, 4), (8, 5, 3), (12, 1, 7)])
 def test_zero_violation_failures_above_the_direct_size_build_no_tensor(monkeypatch, q, n, m):
-    # A corner change fails the pair at the opposite corner; with no
-    # violation to list, the spectral pass's proof of it is the whole
-    # answer, field for field the one the tensors give.
+    # A corner change fails the pair at the opposite corner.  The spectral
+    # pass's proof of it is the whole answer at every cap: with no
+    # violation to list, and with the violations and their exact counts,
+    # field for field what the tensors give.
     spec = random_general_spec(np.random.default_rng(59 + q), q=q, n=n, m=m)
     c, d = construct_gcap_general(spec)
+    mate = construct_mate(spec)
     entries = c.entries.copy()
     entries[-1, -1] = (entries[-1, -1] + 1) % q
     bad = QaryArray(q, entries)
-    with monkeypatch.context() as patch:
-        patch.setattr(verify, "_spectral_pass", lambda pairs, expected: None)
-        reference = is_gcap(bad, d, max_violations=0)
-        mate_reference = is_mate((bad, d), construct_mate(spec), max_violations=0)
+    every = (2 * c.L1 - 1) * (2 * c.L2 - 1)
+    caps = (0, 1, 3, every)
+    references = [_tensor_reference(monkeypatch, partial(is_gcap, bad, d, cap)) for cap in caps]
+    mate_references = [_tensor_reference(monkeypatch, partial(is_mate, (bad, d), mate, cap)) for cap in caps]
+    reference, mate_reference = references[0], mate_references[0]
     assert not reference.passed and reference.truncated and not reference.violations
     assert mate_reference.notes == ("first pair fails the complementary-pair condition",)
+    assert not references[-1].truncated and (1 - c.L1, 1 - c.L2) in dict(references[-1].violations)
 
-    def no_tensor(c, d):
-        raise AssertionError("a proven failure built a count tensor")
-
-    monkeypatch.setattr(correlation, "_count_tensor", no_tensor)
-    result = is_gcap(bad, d, max_violations=0)
-    assert result == reference and result.center_value.counts == reference.center_value.counts
-    mate = is_mate((bad, d), construct_mate(spec), max_violations=0)
-    assert mate == mate_reference
-    assert mate.center_value.counts == mate_reference.center_value.counts
+    monkeypatch.setattr(correlation, "_count_tensor", _no_tensor)
+    for cap, reference, mate_reference in zip(caps, references, mate_references):
+        result = is_gcap(bad, d, max_violations=cap)
+        assert result == reference and result.center_value.counts == reference.center_value.counts
+        assert_same_result(result, reference)
+        mate_result = is_mate((bad, d), mate, max_violations=cap)
+        assert mate_result == mate_reference
+        assert mate_result.center_value.counts == mate_reference.center_value.counts
+        assert_same_result(mate_result, mate_reference)
 
 
 def test_uncertified_spectral_pass_falls_back_to_the_tensors(monkeypatch):
@@ -419,6 +448,60 @@ def test_uncertified_spectral_pass_falls_back_to_the_tensors(monkeypatch):
         result = check()
         assert built
         assert result == expected and result.center_value.counts == expected.center_value.counts
+
+
+def _invisible_to_sigma_1(rng, q, exponents, shape=(12, 11)):
+    """Random cross pairs above the direct size whose summed correlation at the
+    corner shift (L1 - 1, L2 - 1) is the sum of xi^e over exponents."""
+    pairs = []
+    for e in exponents:
+        c, d = (rng.integers(0, q, shape) for _ in range(2))
+        c[-1, -1] = (d[0, 0] + e) % q
+        pairs.append((QaryArray(q, c), QaryArray(q, d)))
+    return pairs
+
+
+def test_every_embedding_feeds_the_violation_list(monkeypatch):
+    # sqrt(2) - 1 in Z[xi_8] and sqrt(3) - 2 in Z[xi_12] are nonzero but
+    # below 1/2 under sigma_1, so only sigma_3 or sigma_5 shows the corner.
+    rng = np.random.default_rng(61)
+    for q, exponents in ((8, (1, 7, 4)), (12, (1, 11, 6, 6))):
+        pairs = _invisible_to_sigma_1(rng, q, exponents)
+        L1, L2 = pairs[0][0].L1, pairs[0][0].L2
+        assert (L1 * L2) ** 2 > correlation._DIRECT_PAIRS
+        assert abs(sum(cmath.exp(2j * cmath.pi * e / q) for e in exponents)) < 0.5
+        every = (2 * L1 - 1) * (2 * L2 - 1)
+        reference = _tensor_reference(monkeypatch, partial(verify._check, pairs, 0, every))
+        with monkeypatch.context() as patch:
+            patch.setattr(correlation, "_count_tensor", _no_tensor)
+            result = verify._check(pairs, 0, every)
+        assert (L1 - 1, L2 - 1) in dict(result.violations) and not result.truncated
+        assert_same_result(result, reference)
+
+
+def test_uncertified_counts_fall_back_to_the_tensors(monkeypatch):
+    # With the count bound above 1/4 a failing check that lists violations
+    # takes the tensors; a pass and a failure that lists none still do not.
+    rng = np.random.default_rng(67)
+    spec = random_general_spec(rng, q=8, n=4, m=4)
+    c, d = construct_gcap_general(spec)
+    entries = c.entries.copy()
+    entries[0, 0] = (entries[0, 0] + 3) % 8
+    bad = QaryArray(8, entries)
+    failing = [partial(is_gcap, bad, d, cap) for cap in (1, 16, 961)]
+    failing.append(partial(is_mate, (c, d), (bad, construct_mate(spec)[1])))
+    expected = [check() for check in failing]
+    monkeypatch.setattr(correlation, "_count_error_bound", lambda *args: 1.0)
+    for check, result in zip(failing, expected):
+        built = []
+        count_tensor = correlation._count_tensor
+        with monkeypatch.context() as patch:
+            patch.setattr(correlation, "_count_tensor", lambda c, d: built.append(c) or count_tensor(c, d))
+            assert_same_result(check(), result)
+        assert built
+    monkeypatch.setattr(correlation, "_count_tensor", _no_tensor)
+    assert is_gcap(c, d).passed
+    assert not is_gcap(bad, d, max_violations=0).passed
 
 
 def test_small_checks_still_count_tables_in_the_verify_module(monkeypatch):

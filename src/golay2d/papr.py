@@ -20,7 +20,18 @@ and in at most six at R = 4 or 5; a peak that lies on the grid ends it at
 the first step.
 A report measures each axis once per distinct row up to a constant:
 adding k to a sequence multiplies S(t) by the unit xi^k and leaves |S(t)|
-unchanged, and the constructions repeat rows heavily in this sense.
+unchanged, and the constructions repeat rows heavily in this sense.  The
+rows and columns of a square array have one length, so they go through
+one kernel call; a row's result does not depend on the rows beside it.
+
+Every exponential of an integer angle is a table entry: the roots
+exp(2*pi*i*k/N) for N = q (the coefficients), N = the coarse grid size
+and N = R*L (the twists to a sample), the candidate window and the Newton
+weights.  Each table depends only on (q, L, R), holds the same expression
+the kernel would evaluate, bit for bit, and is built once into a small
+cache of read-only arrays when it has at most _BLOCK_POINTS entries; a
+larger one is computed per call, so no oversampling makes a large
+resident table.
 
 Analytic upper bounds for arrays built by the path constructions come from
 the positions the path spends on one axis: splitting those positions into v
@@ -31,6 +42,7 @@ tightest bound of this family.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +92,45 @@ def run_partition(indices) -> RunPartition:
     return RunPartition(frozenset(idx), tuple(runs))
 
 
+@functools.lru_cache(maxsize=32)
+def _cached(build, *args) -> np.ndarray:
+    """build(*args) as a read-only array, built once per argument tuple."""
+    table = build(*args)
+    table.setflags(write=False)
+    return table
+
+
+def _table(entries: int, build, *args) -> np.ndarray:
+    """build(*args), from the cache when it has at most _BLOCK_POINTS entries, else built per call."""
+    return _cached(build, *args) if entries <= _BLOCK_POINTS else build(*args)
+
+
+def _root_table(num: int) -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(num) / num)
+
+
+def _roots(k: np.ndarray, num: int) -> np.ndarray:
+    """exp(2*pi*i*k/num) for integers 0 <= k < num.
+
+    Looked up in the cached table of all num roots when num is at most
+    _BLOCK_POINTS, evaluated on k itself otherwise; the bits are the same.
+    """
+    if num <= _BLOCK_POINTS:
+        return _cached(_root_table, num)[k]
+    return np.exp(2j * np.pi * k / num)
+
+
+def _window(L: int, num: int, start: int, stop: int) -> np.ndarray:
+    """exp(2*pi*i*n*o/num) for n < L and offsets start <= o < stop, shape (L, stop - start)."""
+    return np.exp(2j * np.pi * np.outer(np.arange(L), np.arange(start, stop)) / num)
+
+
+def _newton_weights(L: int) -> np.ndarray:
+    """The factors 1, 2*pi*i*n and -(2*pi*n)^2 that turn the coefficients of S into those of S, S' and S''."""
+    n = np.arange(L)
+    return np.stack([np.ones(L), 2j * np.pi * n, -((2 * np.pi * n) ** 2)])
+
+
 def _envelopes(terms: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Sum over n of terms[s, j, n] * exp(2*pi*i*n*t[s]); terms (S, J, L), t (S,), shape (S, J)."""
     phase = np.exp(2j * np.pi * np.outer(t, np.arange(terms.shape[-1])))
@@ -102,7 +153,9 @@ def _grid_peaks(coeffs: np.ndarray, oversampling: int) -> tuple[np.ndarray, np.n
     sample lies within one fine step of such a t*, and P there is at least
     the best coarse sample P_c, while max P <= P_c / (1 - h).  So it lies
     within step // 2 + 1 fine samples of a coarse sample of at least
-    P_c * (1 - h / (1 - h)); those windows are evaluated directly.
+    P_c * (1 - h / (1 - h)); those windows are evaluated directly, in
+    blocks of window columns and chunks of candidates that keep every
+    temporary within _BLOCK_POINTS entries whatever R is.
     """
     L = coeffs.shape[1]
     step = _coarse_step(oversampling)
@@ -112,17 +165,29 @@ def _grid_peaks(coeffs: np.ndarray, oversampling: int) -> tuple[np.ndarray, np.n
     floor = power.max(axis=1) * (1 - h / (1 - h) - 1e-9)
     rows, cols = np.nonzero(power >= floor[:, None])
     n = np.arange(L)
-    offsets = np.arange(-(step // 2) - 1, step // 2 + 2)
-    window = np.exp(2j * np.pi * np.outer(n, offsets) / (oversampling * L))
-    best = np.empty(len(rows))
+    half = step // 2 + 1
+    width = 2 * half + 1
+    # Window columns per block and candidate pairs per chunk, so that the
+    # window block, the twisted rows and the values each hold at most
+    # _BLOCK_POINTS entries; at the default R the window is one block.
+    span = min(width, max(1, _BLOCK_POINTS // L))
+    chunk = max(1, _BLOCK_POINTS // max(L, span))
+    best = np.full(len(rows), -np.inf)
     at = np.empty(len(rows), dtype=np.int64)
-    chunk = max(1, _BLOCK_POINTS // L)
-    for s in range(0, len(rows), chunk):
-        pairs = slice(s, s + chunk)
-        twist = np.exp(2j * np.pi * (np.outer(cols[pairs], n) % coarse) / coarse)
-        values = np.abs((coeffs[rows[pairs]] * twist) @ window) ** 2
-        best[pairs] = values.max(axis=1)
-        at[pairs] = cols[pairs] * step + offsets[values.argmax(axis=1)]
+    for start in range(-half, half + 1, span):
+        stop = min(start + span, half + 1)
+        # Cached only when it is the whole window, so the cache never holds its blocks.
+        window = _table(L * width, _window, L, oversampling * L, start, stop)
+        for s in range(0, len(rows), chunk):
+            pairs = slice(s, s + chunk)
+            twisted = coeffs[rows[pairs]] * _roots(np.outer(cols[pairs], n) % coarse, coarse)
+            values = np.abs(twisted @ window) ** 2
+            top = values.max(axis=1)
+            # A later block replaces a pair's best only when strictly larger,
+            # so each pair keeps its first best offset.
+            better = top > best[pairs]
+            best[pairs] = np.where(better, top, best[pairs])
+            at[pairs] = np.where(better, cols[pairs] * step + start + values.argmax(axis=1), at[pairs])
     # rows is sorted, so this picks each row's best pair, the first on a tie.
     order = np.lexsort((-best, rows))
     first = order[np.searchsorted(rows[order], np.arange(len(coeffs)))]
@@ -145,11 +210,9 @@ def _refined_peaks(coeffs: np.ndarray, peak: np.ndarray, num: int) -> np.ndarray
     |S|^2 from then on, so each row takes the steps a scalar search would.
     Returns |S|^2 at the point where each row stopped.
     """
-    n = np.arange(coeffs.shape[1])
-    twisted = coeffs * np.exp(2j * np.pi * (np.outer(peak, n) % num) / num)
-    # S, S' and S'' in u: the coefficients weighted by 1, 2*pi*i*n and -(2*pi*n)^2.
-    weights = np.stack([np.ones(len(n)), 2j * np.pi * n, -((2 * np.pi * n) ** 2)])
-    terms = twisted[:, None, :] * weights
+    L = coeffs.shape[1]
+    twisted = coeffs * _roots(np.outer(peak, np.arange(L)) % num, num)
+    terms = twisted[:, None, :] * _table(3 * L, _newton_weights, L)
     lo = np.full(len(peak), -1 / num)
     hi = -lo
     u = np.zeros(len(peak))
@@ -182,13 +245,16 @@ def _paprs(seqs: np.ndarray, q: int, oversampling: int) -> np.ndarray:
     of rows that hold at most _BLOCK_POINTS coarse samples (one row when a
     single row is longer), and is then refined.  The refinement works on
     chunks of rows whose S, S' and S'' terms number at most _BLOCK_POINTS,
-    so memory stays flat in S, and each of its steps takes L exponentials
-    per row.
+    so memory stays flat in S and in R, and each of its steps takes L
+    exponentials per row.  The unit coefficients, the twists and the
+    candidate window are read from tables of at most _BLOCK_POINTS entries
+    each, cached per (q, L, R); a table above that size is evaluated per
+    call, so the results are the same bits either way.
     """
     S, L = seqs.shape
     if L == 1:
         return np.ones(S)
-    coeffs = np.exp(2j * np.pi * (seqs % q) / q)
+    coeffs = _roots(seqs % q, q)
     num = oversampling * L
     peak = np.empty(S, dtype=np.int64)
     best = np.empty(S)
@@ -279,11 +345,14 @@ def papr_report(c: QaryArray, spec=None, oversampling: int = DEFAULT_OVERSAMPLIN
             )
         row_bound, col_bound = papr_bounds(spec)
     oversampling = _at_least(oversampling, _MIN_OVERSAMPLING, "oversampling")
-    return PaprReport(
-        _axis_paprs(c.entries, c.q, oversampling),
-        _axis_paprs(c.entries.T, c.q, oversampling),
-        row_bound, col_bound, oversampling,
-    )
+    if c.L1 == c.L2:
+        # Rows and columns have one length, so one kernel call measures both.
+        values = _axis_paprs(np.vstack([c.entries, c.entries.T]), c.q, oversampling)
+        per_row, per_col = values[: c.L1], values[c.L1 :]
+    else:
+        per_row = _axis_paprs(c.entries, c.q, oversampling)
+        per_col = _axis_paprs(c.entries.T, c.q, oversampling)
+    return PaprReport(per_row, per_col, row_bound, col_bound, oversampling)
 
 
 def _axis_paprs(rows: np.ndarray, q: int, oversampling: int) -> tuple[float, ...]:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,9 +236,11 @@ def test_spectra_stay_within_the_block_limit(monkeypatch):
     assert max(sizes) == golay2d.papr._COARSE_OVERSAMPLING * 128
 
 
-def test_grid_peaks_find_the_best_fine_sample():
+def test_grid_peaks_find_the_best_fine_sample(monkeypatch):
     # The coarse subgrid plus windows must find the largest of all R*L
-    # samples, at the index it reports.
+    # samples, at the index it reports, also when the window is taken in
+    # blocks of two columns.
+    block = golay2d.papr._BLOCK_POINTS
     rng = np.random.default_rng(101)
     for R in (4, 5, 16, 48, 256):
         for q in (2, 4, 6, 8, 12):
@@ -244,10 +248,103 @@ def test_grid_peaks_find_the_best_fine_sample():
             rows = np.vstack([rng.integers(0, q, (300, L)), np.zeros((1, L), int),
                               np.arange(L)[None, :] * (q // 2) % q])
             coeffs = np.exp(2j * np.pi * rows / q)
-            peak, best = golay2d.papr._grid_peaks(coeffs, R)
-            assert best / L == pytest.approx(sampled_max(rows, q, R), rel=1e-12)
-            at_peak = np.exp(2j * np.pi * np.outer(peak, np.arange(L)) / (R * L))
-            assert np.abs((coeffs * at_peak).sum(axis=1)) ** 2 == pytest.approx(best, rel=1e-12)
+            for limit in (block, 2 * L):
+                monkeypatch.setattr(golay2d.papr, "_BLOCK_POINTS", limit)
+                peak, best = golay2d.papr._grid_peaks(coeffs, R)
+                assert best / L == pytest.approx(sampled_max(rows, q, R), rel=1e-12)
+                at_peak = np.exp(2j * np.pi * np.outer(peak, np.arange(L)) / (R * L))
+                assert np.abs((coeffs * at_peak).sum(axis=1)) ** 2 == pytest.approx(best, rel=1e-12)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and (a.view(np.int64) == b.view(np.int64)).all()
+
+
+def _recording_cache(monkeypatch):
+    """Record (build, args, table) for every table the kernel takes from the cache."""
+    tables = []
+    cached = golay2d.papr._cached
+
+    def recording(build, *args):
+        table = cached(build, *args)
+        tables.append((build, args, table))
+        return table
+
+    monkeypatch.setattr(golay2d.papr, "_cached", recording)
+    return tables
+
+
+def test_tables_equal_the_direct_expressions(monkeypatch):
+    # Every table entry is, bit for bit, the exponential the kernel would
+    # otherwise evaluate: the roots at every N it uses, on index arrays like
+    # its own, and each cached candidate window and set of Newton weights.
+    papr = golay2d.papr
+    tables = _recording_cache(monkeypatch)
+    rng = np.random.default_rng(109)
+    for q, L, R in itertools.product((2, 4, 6, 8, 12), (2, 5, 128), (4, 5, 256, 300)):
+        for num in (q, R // papr._coarse_step(R) * L, R * L):
+            for k in (np.arange(num), np.outer(rng.integers(0, num, 9), np.arange(L)) % num):
+                assert _same_bits(papr._roots(k, num), np.exp(2j * np.pi * k / num))
+        papr._paprs(rng.integers(0, q, (4, L)), q, R)
+    for build, args, table in tables:
+        assert not table.flags.writeable and table.size <= papr._BLOCK_POINTS
+        if build is papr._window:
+            L, num, start, stop = args
+            step = papr._coarse_step(num // L)
+            offsets = np.arange(-(step // 2) - 1, step // 2 + 2)
+            assert (start, stop) == (offsets[0], offsets[-1] + 1)
+            assert _same_bits(table, np.exp(2j * np.pi * np.outer(np.arange(L), offsets) / num))
+        elif build is papr._newton_weights:
+            n = np.arange(*args)
+            assert _same_bits(table, np.stack([np.ones(len(n)), 2j * np.pi * n, -((2 * np.pi * n) ** 2)]))
+    assert {build for build, _, _ in tables} == {papr._root_table, papr._window, papr._newton_weights}
+
+
+def test_large_oversampling_stays_within_the_block_limit(monkeypatch):
+    # The candidate window has R / 16 + 3 columns; it is taken in blocks so
+    # that no temporary, and no cached table, holds more than _BLOCK_POINTS
+    # entries.
+    papr = golay2d.papr
+    arr = QaryArray(4, np.random.default_rng(113).integers(0, 4, (16, 16)))
+    reference = papr_report(arr)
+    tables = _recording_cache(monkeypatch)
+    for R in (1 << 18, 1 << 20):
+        tracemalloc.start()
+        try:
+            report = papr_report(arr, oversampling=R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * papr._BLOCK_POINTS  # eight blocks of complex128
+        got = report.per_row + report.per_col
+        assert got == pytest.approx(reference.per_row + reference.per_col, rel=1e-9)
+    assert tables and max(table.size for _, _, table in tables) <= papr._BLOCK_POINTS
+
+
+def test_square_arrays_measure_both_axes_in_one_call(monkeypatch):
+    axis_paprs = golay2d.papr._axis_paprs
+    calls = []
+    paprs = golay2d.papr._paprs
+
+    def recording_paprs(seqs, q, oversampling):
+        calls.append(len(seqs))
+        return paprs(seqs, q, oversampling)
+
+    monkeypatch.setattr(golay2d.papr, "_paprs", recording_paprs)
+    rng = np.random.default_rng(131)
+    arrays = [construct_gcap_general(random_general_spec(rng, n=3, m=3))[0]]
+    for q in (2, 4, 6, 8, 12):
+        for shape in ((9, 9), (16, 16), (7, 13), (1, 1), (1, 40)):
+            arrays.append(QaryArray(q, rng.integers(0, q, shape)))
+    for arr in arrays:
+        for R in (4, 256):
+            calls.clear()
+            report = papr_report(arr, oversampling=R)
+            assert len(calls) == (1 if arr.L1 == arr.L2 else 2)
+            rows = np.array(axis_paprs(arr.entries, arr.q, R))
+            cols = np.array(axis_paprs(arr.entries.T, arr.q, R))
+            assert _same_bits(np.array(report.per_row), rows)
+            assert _same_bits(np.array(report.per_col), cols)
 
 
 def test_refinement_takes_few_rounds(monkeypatch):

@@ -13,11 +13,9 @@ derived, display-only view.
 A table over all aperiodic shifts is one int64 tensor
 counts[u1 + L1 - 1, u2 + L2 - 1, e], computed for every shift at once.  A
 small table, at most _DIRECT_PAIRS cell pairs, is one integer bincount over
-all pairs of cells.  A larger one comes from one-hot FFT correlation: the
-transformed planes are rounded to integers only under a certificate (see
-fft_error_bound), and the remaining planes follow from them by exact integer
-arithmetic.  A single value at one shift comes from the direct definition,
-which clips the summation bounds.
+all pairs of cells.  A larger one takes the route below that recovers
+counts from the Galois embeddings, at every shift.  A single value at one
+shift comes from the direct definition, which clips the summation bounds.
 
 A check that summed correlations vanish need not count them.  At each shift
 the sum less its expected value is an algebraic integer alpha of Z[xi_q],
@@ -30,8 +28,11 @@ computed value there is at least 1/2, so the pass gives the exact set of
 violating shifts.  At the shifts a check lists, the correlations for the
 remaining j <= q/2 complete the length-q spectrum of the counts, and one
 length-q inverse DFT recovers them, rounded under the certificate of
-_count_error_bound.  It builds no count tensor; the tensors serve the
-small checks, the checks the pass cannot certify, and the table API.
+_count_error_bound.  The same recovery at every shift of one pair is a
+large table, so the package has one float algorithm for exact counts and
+one certificate for them.  The pass builds no count tensor; the tensors
+serve the small checks, the checks the pass cannot certify, and the table
+API.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .boolfunc import (
 __all__ = [
     "cyclotomic_polynomial",
     "reduction_matrix",
-    "fft_error_bound",
     "spectral_error_bound",
     "CorrelationValue",
     "CorrelationTable",
@@ -272,7 +272,21 @@ def _gamma(k: int) -> float:
 
 
 def _fft_error(t: float) -> float:
-    """eps of fft_error_bound's FFT model for t = log2 of the transform size."""
+    """eps of the FFT error model for t = log2 of the transform size.
+
+    Both certificates of this module, spectral_error_bound and
+    _count_error_bound, rest on this model.  With u = 2^-53 and
+    g_k = k*u / (1 - k*u) (_gamma): a power-of-two FFT computed with
+    twiddle factors accurate to mu satisfies
+    ||fl(F x) - F x||_2 <= eps ||F x||_2 with eps = t*eta / (1 - t*eta),
+    eta = mu + g_4 (sqrt 2 + mu) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 24.2); here mu = 4u.  A 2-D
+    transform of size P1 x P2 is 1-D transforms along each axis; since
+    (1 - a)(1 - b) >= 1 - a - b, the two factors compose within the same
+    formula with t = log2 P1 + log2 P2.  rfft2/irfft2 are the complex
+    transforms on real inputs and Hermitian spectra and are taken to obey
+    the same bound.
+    """
     mu = _TWIDDLE_ULPS * _UNIT_ROUNDOFF
     eta = mu + _gamma(4) * (math.sqrt(2) + mu)
     return t * eta / (1 - t * eta)
@@ -283,78 +297,13 @@ def _transform_size(L: int) -> int:
     return 1 << (2 * L - 2).bit_length()
 
 
-def fft_error_bound(P1: int, P2: int, q: int, cells: int) -> float:
-    """A-priori bound on |computed - exact| for every entry of a count tensor.
-
-    The tensor is computed by power-of-two float64 transforms of size
-    P1 x P2 (N = P1*P2, t = log2 N) over an alphabet of size q, for arrays
-    of M = cells entries.  With u = 2^-53 and g_k = k*u / (1 - k*u):
-
-    Model.  A power-of-two FFT computed with twiddle factors accurate to mu
-    satisfies ||fl(F x) - F x||_2 <= eps ||F x||_2 with eps = t*eta /
-    (1 - t*eta), eta = mu + g_4 (sqrt 2 + mu) (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., Thm 24.2).  A 2-D transform is 1-D
-    transforms along each axis; since (1 - a)(1 - b) >= 1 - a - b, the two
-    factors compose within the same formula with t = log2 P1 + log2 P2.
-    rfft2/irfft2 are the complex transforms on real inputs and Hermitian
-    spectra and are taken to obey the same bound; mu = 4u.
-
-    Let n_a cells of c equal a (sum_a n_a = M), A_a the exact transform of
-    the one-hot plane [c == a] and Ahat_a the computed one, and likewise
-    B_b for d.  By Parseval ||A_a||_2 = sqrt(N n_a), and ||A_a||_inf <= n_a.
-
-    1. Forward: ||Ahat_a - A_a||_2 <= eps sqrt(N n_a), so
-       ||Ahat_a||_inf <= n_a + eps sqrt(N n_a) <= K n_a, K = 1 + eps sqrt N,
-       as sqrt(n_a) <= n_a for integers (a zero plane transforms exactly).
-    2. The spectrum of exponent e is H_e = sum_b A_(b+e) conj(B_b).  Using
-       the computed inputs moves it by at most
-       sum_b ||Ahat - A||_2 ||Bhat||_inf + ||A||_inf ||Bhat - B||_2
-       <= eps sqrt(N) (K + 1) M^(3/2), because sum_b sqrt(n_(b+e)) n_b
-       <= sqrt(M) M.  Rounding the q complex products and their sum adds at
-       most g_(q+2) sum_b |Ahat| |Bhat| entrywise, at most
-       g_(q+2) (1 + eps) K sqrt(N) M^(3/2) in 2-norm.  So
-       ||Hhat_e - H_e||_2 <= sqrt(N) M^(3/2) h with
-       h = eps (K + 1) + g_(q+2) (1 + eps) K.
-    3. Inverse: x_e = F^-1 H_e / N is the count plane of exponent e, whose
-       entries are nonnegative, at most M, and sum to at most M^2, so
-       ||x_e||_2 <= M^(3/2) and ||H_e||_2 = sqrt(N) ||x_e||_2.  Dividing by
-       the power of two N is exact, so
-       ||xhat_e - x_e||_2 <= (sqrt(N) ||Hhat_e - H_e||_2
-       + eps sqrt(N) ||Hhat_e||_2) / N <= M^(3/2) (h + eps (1 + h)).
-
-    The largest entry error is at most the 2-norm, so the returned
-    M^(3/2) (h + eps (1 + h)) bounds every entry of every transformed
-    plane.  It is about 1e-8 for 64 x 64 arrays and stays below 1/4 up to
-    about 10^8 cells.  The planes that _fft_tensor does not transform (the
-    reflected ones of an autocorrelation, and plane 0) are exact integer
-    arithmetic on the rounded, certified ones, so the bound covers the
-    whole tensor.
-    """
-    return _correlation_error(P1, P2, cells, 0.0, _gamma(q + 2))
-
-
-def _correlation_error(P1: int, P2: int, cells: int, input_error: float, product_error: float) -> float:
-    """The error bound of one FFT correlation of arrays with M = cells entries.
-
-    Both bounds in this module are this derivation: forward transforms of
-    inputs off by input_error relative to their exact values, entrywise
-    products rounded with product_error relative to the sum of their
-    magnitudes, and one inverse transform.  With input_error = 0 it is
-    exactly fft_error_bound's formula.
-    """
-    eps = _fft_error(math.log2(P1 * P2))
-    f = input_error + eps * (1 + input_error)
-    K = 1 + f * math.sqrt(P1 * P2)
-    h = f * (K + 1) + product_error * (1 + f) * K
-    return cells ** 1.5 * (h + eps * (1 + h))
-
-
 # Tables with at most this many cell pairs, (L1*L2)^2, are counted directly
 # by one bincount over all pairs; larger ones by FFT.  Per table on 2 cores
-# with one BLAS thread, at L1*L2 = 128 the direct count took about 130 us
-# against 165-390 us for the FFT kernel (q in {2, 4, 8}, auto and cross); at
-# 160 cells the FFT kernel was already faster at q = 2, and at 256 cells at
-# every q.
+# with one BLAS thread (q in {2, 4, 8}, auto and cross), the direct count
+# took 115-150 us at L1*L2 = 128 against 95-480 us for the FFT route,
+# 180-220 us at 160 cells against 105-335 us, and 800-1090 us at 256 cells
+# against 120-645 us: the FFT route wins at q = 2 from 128 cells and at
+# every q by 256.  verify._check shares the threshold.
 _DIRECT_PAIRS = 1 << 14
 
 
@@ -387,64 +336,21 @@ def _direct_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
     return counts.reshape(2 * L1 - 1, 2 * L2 - 1, q)
 
 
-def _fft_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
-    """The count tensor by one-hot FFT correlation, rounded under a certificate.
-
-    The planes [c == a] and [d == b] are transformed once each (an
-    autocorrelation reuses c's transforms), the spectrum of exponent e is
-    H_e = sum_b C_(b+e) conj(D_b), taken for all the needed e in one
-    einsum, and one batch of inverse transforms gives those count planes.
-    Only e >= 1 are transformed, and for an autocorrelation only
-    e = 1..q/2, because counts_(-e)(u) = counts_e(-u) there.  The other
-    planes follow exactly from the transformed ones: the point reflection
-    of the shift grid gives e > q/2, and plane 0 is the overlap
-    (L1 - |u1|)(L2 - |u2|) less the sum of the others.  The floats are
-    rounded only under a certificate: the a-priori bound of fft_error_bound
-    and the observed distance to the nearest integers must both lie below
-    1/4, and ArithmeticError is raised otherwise.
-    """
-    q, L1, L2 = c.q, c.L1, c.L2
-    auto = d is c
-    shape = (_transform_size(L1), _transform_size(L2))
-    levels = np.arange(q)[:, None, None]
-    fc = np.fft.rfft2(c.entries == levels, s=shape)
-    fd = (fc if auto else np.fft.rfft2(d.entries == levels, s=shape)).conj()
-    last = q // 2 if auto else q - 1
-    # Window e of the stack C_0..C_(q-1), C_0..C_(q-2) is C_e..C_(e+q-1), so
-    # entry [e, :, :, b] of this view is C_(b+e) without a copy per exponent.
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([fc, fc[:-1]]), q, axis=0)
-    spectra = np.einsum("eijb,bij->eij", windows[1:last + 1], fd)
-    planes = np.fft.irfft2(spectra, s=shape)
-    u1, u2 = np.arange(1 - L1, L1), np.arange(1 - L2, L2)
-    planes = planes[:, (u1 % shape[0])[:, None], (u2 % shape[1])[None, :]]
-    rounded = np.rint(planes)
-    deviation = float(np.abs(planes - rounded).max())
-    bound = fft_error_bound(shape[0], shape[1], q, L1 * L2)
-    if not (bound < _CERTIFIED and deviation < _CERTIFIED):
-        raise ArithmeticError(
-            f"cannot certify the {L1}x{L2} q={q} correlation counts: a-priori error "
-            f"bound {bound:.3g}, observed distance to integers {deviation:.3g}; "
-            f"both must be below {_CERTIFIED}"
-        )
-    counts = np.empty((q, 2 * L1 - 1, 2 * L2 - 1), dtype=np.int64)
-    counts[1:last + 1] = rounded
-    if auto:
-        # Plane q - e is plane e at the opposite shift, for e = q/2 - 1 down to 1.
-        counts[q // 2 + 1:] = counts[q // 2 - 1:0:-1, ::-1, ::-1]
-    counts[0] = np.outer(L1 - np.abs(u1), L2 - np.abs(u2)) - counts[1:].sum(axis=0)
-    return np.ascontiguousarray(counts.transpose(1, 2, 0))
-
-
 def _count_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
     """Exact counts[u1 + L1 - 1, u2 + L2 - 1, e] of xi^(c[g+u1, i+u2] - d[g, i]).
 
     A table of at most _DIRECT_PAIRS cell pairs is counted directly
-    (_direct_tensor); a larger one by FFT under a certificate (_fft_tensor).
-    Both give the same integers, in a fresh C-ordered int64 array.
+    (_direct_tensor).  A larger one is _counts_at at every shift, for the
+    one pair (c, d), under its certificate; it raises ArithmeticError when
+    that fails.  Both give the same integers, in a fresh C-ordered int64
+    array.
     """
-    if (c.L1 * c.L2) ** 2 <= _DIRECT_PAIRS:
+    q, L1, L2 = c.q, c.L1, c.L2
+    if (L1 * L2) ** 2 <= _DIRECT_PAIRS:
         return _direct_tensor(c, d)
-    return _fft_tensor(c, d)
+    block, index = (c.entries[None], [(0, 0)]) if d is c else (np.stack([c.entries, d.entries]), [(0, 1)])
+    every = np.arange((2 * L1 - 1) * (2 * L2 - 1))
+    return _counts_at(block, index, q, every, {}).reshape(2 * L1 - 1, 2 * L2 - 1, q)
 
 
 # Allowance for a computed root of unity, in units of u: cmath.exp at the
@@ -460,7 +366,7 @@ def spectral_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> 
     arrays of M = cells entries, by power-of-two float64 transforms of size
     P1 x P2 (P = P1*P2): forward transforms Z, the spectrum
     S = sum_k Z_(c_k) conj(Z_(d_k)), one inverse transform r = F^-1 S, and
-    r - C at the origin.  The FFT model and eps, g_k are fft_error_bound's.
+    r - C at the origin.  eps, g_k and the FFT model are _fft_error's.
 
     1. Inputs.  Every cell of z has |z| = 1, so ||z||_2 = sqrt(M) and
        ||Z||_inf <= M.  A computed root is exact for q in {2, 4} and within
@@ -476,36 +382,42 @@ def spectral_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> 
        g (1 + f) K sqrt(P) M^(3/2) per pair.  Hence
        ||Shat - S||_2 <= N sqrt(P) M^(3/2) h, h = f (K + 1) + g (1 + f) K.
     3. Inverse.  Each pair's correlation has 2-norm
-       ||Z_c conj(Z_d)||_2 / sqrt(P) <= M^(3/2), so ||r||_2 <= N M^(3/2)
-       and, as in fft_error_bound step 3, every entry of the computed r is
-       within B = N M^(3/2) (h + eps (1 + h)) of the exact one.
+       ||Z_c conj(Z_d)||_2 / sqrt(P) <= M^(3/2), so ||S||_2 <= sqrt(P) N M^(3/2)
+       and ||Shat||_2 <= sqrt(P) N M^(3/2) (1 + h).  Dividing by the power
+       of two P is exact, so the computed r differs from the exact one by
+       at most (||Shat - S||_2 + eps ||Shat||_2) / sqrt(P)
+       <= B = N M^(3/2) (h + eps (1 + h)) in 2-norm, and so in every entry.
     4. Decision.  Subtracting the integer centre rounds once and |.| (hypot)
        adds about an ulp, so a computed modulus v has
        |rhat - C| <= v / (1 - g_3).  The returned bound is B + g_3: when it
        is below 1/2 and v < 1/2, the exact value is below
        1 / (2 (1 - g_3)) + 1/2 - g_3 < 1.
 
-    rfft2/irfft2 (real z) are taken to obey the same bound, as in
-    fft_error_bound.  It is about 2e-8 for a pair of 64 x 64 arrays.
+    rfft2/irfft2 (real z) obey the same model.  The bound is about 2e-8
+    for a pair of 64 x 64 arrays.
     """
     return _embedding_error(P1, P2, q, cells, members) + _gamma(3)
 
 
 def _embedding_error(P1: int, P2: int, q: int, cells: int, members: int) -> float:
     """B of spectral_error_bound step 3: the error of every entry of one summed correlation of xi^(j c)."""
+    eps = _fft_error(math.log2(P1 * P2))
     root = 0.0 if 4 % q == 0 else _ROOT_ULPS * _UNIT_ROUNDOFF
-    product = math.sqrt(2) * _gamma(2)
-    product += _gamma(members) * (1 + product)
-    return members * _correlation_error(P1, P2, cells, root, product)
+    f = root + eps * (1 + root)
+    K = 1 + f * math.sqrt(P1 * P2)
+    g = math.sqrt(2) * _gamma(2)
+    g += _gamma(members) * (1 + g)
+    h = f * (K + 1) + g * (1 + f) * K
+    return members * cells ** 1.5 * (h + eps * (1 + h))
 
 
 def _count_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> float:
-    """A-priori bound on |computed - exact| for every count that _kept_counts recovers.
+    """A-priori bound on |computed - exact| for every count that _counts_at recovers.
 
     The counts n_e at one shift, of N = members pairs of arrays of
-    M = cells entries, come from r_0..r_(q/2) (see _kept_counts), with
+    M = cells entries, come from r_0..r_(q/2) (see _counts_at), with
     transforms of size P1 x P2 as in the spectral pass.  eps, g_k and the
-    FFT model are fft_error_bound's.
+    FFT model are _fft_error's.
 
     1. Inputs.  r_0 is exact.  Each other r_j is computed like the
        spectral pass's correlations, and steps 1-3 of spectral_error_bound
@@ -601,7 +513,7 @@ def _spectral_pass(pairs, expected_center: int, max_violations: int):
     Otherwise (kept, counts, truncated): kept holds the flat row-major
     indices (u1 + L1 - 1) * (2*L2 - 1) + u2 + L2 - 1 of the first
     max_violations violating shifts, counts the exact exponent counts of
-    the summed correlations, uncentred, at those shifts (_kept_counts),
+    the summed correlations, uncentred, at those shifts (_counts_at),
     and truncated whether more shifts violate.  The check passes exactly
     when kept is empty and truncated false.  With max_violations 0 the
     first embedding that shows a violation ends the pass; otherwise every
@@ -637,11 +549,14 @@ def _spectral_pass(pairs, expected_center: int, max_violations: int):
     # (u1 + L1 - 1, u2 + L2 - 1): the shifts in row-major order.
     found = np.flatnonzero(np.roll(bad, (L1 - 1, L2 - 1), axis=(0, 1))[:2 * L1 - 1, :2 * L2 - 1])
     kept = found[:max_violations]
-    counts = _kept_counts(block, index, q, kept, correlations)
-    return None if counts is None else (kept, counts, len(found) > max_violations)
+    try:
+        counts = _counts_at(block, index, q, kept, correlations)
+    except ArithmeticError:
+        return None
+    return kept, counts, len(found) > max_violations
 
 
-def _kept_counts(block, index, q: int, kept, correlations):
+def _counts_at(block, index, q: int, kept, correlations) -> np.ndarray:
     """The exact (len(kept), q) exponent counts of the summed correlations at the flat shift indices kept.
 
     At a shift, r_j = sum_e n_e xi^(j e) is the summed correlation under
@@ -653,25 +568,31 @@ def _kept_counts(block, index, q: int, kept, correlations):
     one length-q irfft of conj(r_0), ..., conj(r_(q/2)) per shift.  They
     are rounded only under a certificate: the a-priori bound of
     _count_error_bound and the observed distance to the nearest integers
-    must both lie below 1/4.  None means they could not be certified.
+    must both lie below 1/4, and ArithmeticError, naming both, is raised
+    otherwise.  The counts are a fresh C-ordered int64 array.
     """
     L1, L2 = block.shape[1:]
     shape = (_transform_size(L1), _transform_size(L2))
     u1 = kept // (2 * L2 - 1) - (L1 - 1)
     u2 = kept % (2 * L2 - 1) - (L2 - 1)
     at = (u1 % shape[0], u2 % shape[1])
+    # Row j is conj(r_j), the input of the inverse transform.
     spectrum = np.empty((q // 2 + 1, len(kept)), dtype=np.complex128)
     spectrum[0] = len(index) * (L1 - np.abs(u1)) * (L2 - np.abs(u2))
     for j in range(1, q // 2 + 1):
         values = correlations[j] if j in correlations else _correlation(block, index, q, j, shape)
-        spectrum[j] = values[at]
-    counts = np.fft.irfft(spectrum.conj(), n=q, axis=0)
+        np.conjugate(values[at], out=spectrum[j])
+    counts = np.fft.irfft(spectrum, n=q, axis=0)
     rounded = np.rint(counts)
     deviation = float(np.abs(counts - rounded).max())
     bound = _count_error_bound(*shape, q, L1 * L2, len(index))
     if not (bound < _CERTIFIED and deviation < _CERTIFIED):
-        return None
-    return rounded.T.astype(np.int64)
+        raise ArithmeticError(
+            f"cannot certify the {L1}x{L2} q={q} correlation counts: a-priori error "
+            f"bound {bound:.3g}, observed distance to integers {deviation:.3g}; "
+            f"both must be below {_CERTIFIED}"
+        )
+    return np.ascontiguousarray(rounded.T, dtype=np.int64)
 
 
 class CorrelationTable:

@@ -17,13 +17,13 @@ from golay2d import (
     cross_correlation_table,
     cyclotomic_polynomial,
 )
+from golay2d import correlation
 from golay2d.correlation import (
     _complex_values,
     _count_error_bound,
+    _count_tensor,
     _direct_tensor,
-    _fft_tensor,
     _spectral_pass,
-    fft_error_bound,
     reduction_matrix,
     spectral_error_bound,
 )
@@ -234,7 +234,7 @@ def _assert_tensor_is_direct(table, c, d):
 
 
 # Shapes counted directly, (L1*L2)^2 <= _DIRECT_PAIRS, and shapes past it
-# that take the FFT kernel.  Both cover 1-wide, prime and other
+# that take the FFT route.  Both cover 1-wide, prime and other
 # non-power-of-two sides.
 DIRECT_SHAPES = [(1, 1), (1, 9), (9, 1), (3, 7), (5, 6), (9, 9), (8, 16), (1, 128)]
 FFT_SHAPES = [(1, 200), (11, 13), (12, 12), (17, 9), (1, 129)]
@@ -252,24 +252,27 @@ def test_count_tensor_equals_direct_definition():
             _assert_tensor_is_direct(cross_correlation_table(c, d), c, d)
 
 
-def test_both_kernels_agree_on_small_shapes():
-    # Below the threshold the FFT kernel, with its reflected and
-    # overlap-derived planes, must still give the bincount's integers.
+def test_both_kernels_agree_on_small_shapes(monkeypatch):
+    # Below the threshold the FFT route, with its overlap-derived r_0 and
+    # transform axes of size 1, must still give the bincount's integers.
+    monkeypatch.setattr(correlation, "_DIRECT_PAIRS", 0)
     rng = np.random.default_rng(77)
     for q in TENSOR_QS:
         for L1, L2 in DIRECT_SHAPES:
             c = random_array(rng, q=q, L1=L1, L2=L2)
             d = random_array(rng, q=q, L1=L1, L2=L2)
             for other in (c, d):
-                assert np.array_equal(_fft_tensor(c, other), _direct_tensor(c, other)), (q, L1, L2)
+                counts = _count_tensor(c, other)
+                assert counts.dtype == np.int64 and counts.flags.c_contiguous
+                assert np.array_equal(counts, _direct_tensor(c, other)), (q, L1, L2)
 
 
 def test_small_tables_need_no_transform(monkeypatch):
     def no_fft(*args, **kwargs):
         raise AssertionError("a small table reached the FFT")
 
-    monkeypatch.setattr(np.fft, "rfft2", no_fft)
-    monkeypatch.setattr(np.fft, "irfft2", no_fft)
+    for name in ("rfft2", "irfft2", "fft2", "ifft2", "irfft"):
+        monkeypatch.setattr(np.fft, name, no_fft)
     rng = np.random.default_rng(5)
     for q, (L1, L2) in zip(TENSOR_QS * 2, DIRECT_SHAPES):
         c = random_array(rng, q=q, L1=L1, L2=L2)
@@ -279,25 +282,19 @@ def test_small_tables_need_no_transform(monkeypatch):
 
 
 def test_count_tensor_uncertified_rounding_raises(monkeypatch):
-    # 11 x 13 is past the direct-count threshold, so the tables go through irfft2.
+    # 11 x 13 is past the direct-count threshold, so the tables recover
+    # their counts by the length-q irfft.
     rng = np.random.default_rng(1)
     arr, other = (random_array(rng, q=4, L1=11, L2=13) for _ in range(2))
-    inverse = np.fft.irfft2
-    monkeypatch.setattr(np.fft, "irfft2", lambda *args, **kwargs: inverse(*args, **kwargs) + 0.3)
-    with pytest.raises(ArithmeticError):
+    inverse = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: inverse(*args, **kwargs) + 0.3)
+    message = r"cannot certify the 11x13 q=4 correlation counts: a-priori error bound .*, observed distance to integers 0\.3"
+    with pytest.raises(ArithmeticError, match=message):
         auto_correlation_table(arr)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=message):
         cross_correlation_table(arr, arr)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=message):
         cross_correlation_table(arr, other)
-
-
-def test_fft_error_bound_certifies_practical_sizes():
-    # 64 x 64 arrays use 128 x 128 transforms.
-    assert fft_error_bound(128, 128, 4, 64 * 64) < 1e-6
-    assert fft_error_bound(256, 256, 12, 128 * 128) < 1e-5
-    assert fft_error_bound(1, 1, 2, 1) < 1e-15
-    assert fft_error_bound(1 << 16, 1 << 16, 12, 1 << 30) > 0.25
 
 
 def test_spectral_error_bound_certifies_practical_sizes():
@@ -312,10 +309,11 @@ def test_spectral_error_bound_certifies_practical_sizes():
 
 
 def test_count_error_bound_certifies_practical_sizes():
-    # The counts at kept shifts are rounded under this bound: 8 arrays of
-    # 64 x 64 at q = 12, and pairs and sets of 128 x 128, are certified;
-    # 2^30 cells are not.
+    # The counts at kept shifts and in large tables are rounded under this
+    # bound: 8 arrays of 64 x 64 at q = 12, single tables, pairs and sets of
+    # 128 x 128, are certified; 2^30 cells are not.
     assert _count_error_bound(128, 128, 12, 64 * 64, 8) < 0.25
+    assert _count_error_bound(256, 256, 12, 128 * 128, 1) < 0.25
     for q in (2, 4, 8, 12):
         assert _count_error_bound(256, 256, q, 128 * 128, 2) < 0.25
     assert _count_error_bound(256, 256, 12, 128 * 128, 8) < 0.25

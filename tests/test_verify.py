@@ -491,7 +491,13 @@ def test_uncertified_counts_fall_back_to_the_tensors(monkeypatch):
     failing = [partial(is_gcap, bad, d, cap) for cap in (1, 16, 961)]
     failing.append(partial(is_mate, (c, d), (bad, construct_mate(spec)[1])))
     expected = [check() for check in failing]
-    monkeypatch.setattr(correlation, "_count_error_bound", lambda *args: 1.0)
+    # Only the checks' bounds fail: the fallback's tables, one pair each,
+    # keep theirs.
+    bound = correlation._count_error_bound
+    monkeypatch.setattr(
+        correlation, "_count_error_bound",
+        lambda P1, P2, q, cells, members: 1.0 if members > 1 else bound(P1, P2, q, cells, members),
+    )
     for check, result in zip(failing, expected):
         built = []
         count_tensor = correlation._count_tensor

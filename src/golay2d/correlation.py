@@ -22,17 +22,17 @@ the sum less its expected value is an algebraic integer alpha of Z[xi_q],
 and a nonzero alpha has a nonzero integer norm, the product of
 |sigma_j(alpha)| over the j coprime to q.  _spectral_pass computes
 sigma_j(alpha) at every shift by one complex FFT correlation of xi^(j c)
-per embedding j <= q/2.  When the a-priori bound of spectral_error_bound
+per embedding j <= q/2.  When the a-priori bound of _count_error_bound
 lies below 1/2, a shift's alpha is nonzero exactly when some embedding's
 computed value there is at least 1/2, so the pass gives the exact set of
 violating shifts.  At the shifts a check lists, the correlations for the
 remaining j <= q/2 complete the length-q spectrum of the counts, and one
-length-q inverse DFT recovers them, rounded under the certificate of
-_count_error_bound.  The same recovery at every shift of one pair is a
-large table, so the package has one float algorithm for exact counts and
-one certificate for them.  The pass builds no count tensor; the tensors
-serve the small checks, the checks the pass cannot certify, and the table
-API.
+length-q inverse DFT recovers them, rounded when the same bound lies
+below 1/4.  The same recovery at every shift of one pair is a large
+table, so the package has one float algorithm for exact counts and one
+error bound for it; what it cannot certify raises ArithmeticError.  The
+pass builds no count tensor; the tensors serve the small checks and the
+table API.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .boolfunc import (
 __all__ = [
     "cyclotomic_polynomial",
     "reduction_matrix",
-    "spectral_error_bound",
     "CorrelationValue",
     "CorrelationTable",
     "cross_correlation",
@@ -274,10 +273,9 @@ def _gamma(k: int) -> float:
 def _fft_error(t: float) -> float:
     """eps of the FFT error model for t = log2 of the transform size.
 
-    Both certificates of this module, spectral_error_bound and
-    _count_error_bound, rest on this model.  With u = 2^-53 and
-    g_k = k*u / (1 - k*u) (_gamma): a power-of-two FFT computed with
-    twiddle factors accurate to mu satisfies
+    The error bound of this module, _count_error_bound, rests on this
+    model.  With u = 2^-53 and g_k = k*u / (1 - k*u) (_gamma): a
+    power-of-two FFT computed with twiddle factors accurate to mu satisfies
     ||fl(F x) - F x||_2 <= eps ||F x||_2 with eps = t*eta / (1 - t*eta),
     eta = mu + g_4 (sqrt 2 + mu) (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., Thm 24.2); here mu = 4u.  A 2-D
@@ -359,20 +357,20 @@ def _count_tensor(c: QaryArray, d: QaryArray) -> np.ndarray:
 _ROOT_ULPS = 32
 
 
-def spectral_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> float:
-    """A-priori bound for the decisions of the spectral pass (_spectral_pass).
+def _count_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> float:
+    """The a-priori error bound of the FFT route, for its decisions and its counts alike.
 
-    The pass correlates z = xi^(j c) for each of N = members pairs of
+    The route correlates z = xi^(j c) for each of N = members pairs of
     arrays of M = cells entries, by power-of-two float64 transforms of size
     P1 x P2 (P = P1*P2): forward transforms Z, the spectrum
-    S = sum_k Z_(c_k) conj(Z_(d_k)), one inverse transform r = F^-1 S, and
-    r - C at the origin.  eps, g_k and the FFT model are _fft_error's.
+    S = sum_k Z_(c_k) conj(Z_(d_k)), and one inverse transform r = F^-1 S.
+    eps, g_k and the FFT model are _fft_error's.
 
     1. Inputs.  Every cell of z has |z| = 1, so ||z||_2 = sqrt(M) and
-       ||Z||_inf <= M.  A computed root is exact for q in {2, 4} and within
-       d = _ROOT_ULPS u otherwise, so ||Zhat - Z||_2 <= sqrt(P M) f with
-       f = d + eps (1 + d), and ||Zhat||_inf <= K M with K = 1 + f sqrt(P),
-       as sqrt(M) <= M.
+       ||Z||_inf <= M.  A computed root xi^(j e) is exact for q in {2, 4}
+       and within d = _ROOT_ULPS u otherwise, for every j, so
+       ||Zhat - Z||_2 <= sqrt(P M) f with f = d + eps (1 + d), and
+       ||Zhat||_inf <= K M with K = 1 + f sqrt(P), as sqrt(M) <= M.
     2. Spectrum.  Per pair, the computed inputs move Z_c conj(Z_d) by at
        most sqrt(P) M^(3/2) f (K + 1) in 2-norm.  Every pair, an
        autocorrelation too, forms this one complex product, which is
@@ -387,20 +385,35 @@ def spectral_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> 
        of two P is exact, so the computed r differs from the exact one by
        at most (||Shat - S||_2 + eps ||Shat||_2) / sqrt(P)
        <= B = N M^(3/2) (h + eps (1 + h)) in 2-norm, and so in every entry.
-    4. Decision.  Subtracting the integer centre rounds once and |.| (hypot)
-       adds about an ulp, so a computed modulus v has
-       |rhat - C| <= v / (1 - g_3).  The returned bound is B + g_3: when it
-       is below 1/2 and v < 1/2, the exact value is below
+    4. Decision.  The spectral pass subtracts the integer centre, which
+       rounds once, and takes |.| (hypot), which adds about an ulp, so a
+       computed modulus v has |rhat - C| <= v / (1 - g_3).  When B + g_3 is
+       below 1/2 and v < 1/2, the exact value is below
        1 / (2 (1 - g_3)) + 1/2 - g_3 < 1.
+    5. Counts.  The counts n_e at one shift come from r_0..r_(q/2) (see
+       _counts_at).  r_0 is exact and each other r_j is within B (steps
+       1-3).  Conjugation and the Hermitian extension are exact, so the
+       length-q input y of the inverse transform is off by delta with
+       |delta_j| <= B in each of its q entries.  The exact normalised
+       inverse DFT (1/q) F* delta has entries at most
+       (1/q) sum_j |delta_j| <= B, and 2-norm ||delta||_2 / sqrt(q) <= B.
+       The length-q inverse transform is taken to obey the FFT model with
+       t = q in place of log2 q: more stages than any factorisation of q
+       into radices has, an allowance for the mixed-radix kernels that
+       serve q = 6 and 12.  Scaling by 1/q adds g_2 (1/q rounded, then one
+       product).  So the computed counts differ from (1/q) F* (y + delta)
+       by at most e = eps_q + g_2 (1 + eps_q) times its 2-norm, which is at
+       most ||n||_2 + B <= N M + B: the n_e are nonnegative and sum to N
+       times the overlap, at most N M.
 
-    rfft2/irfft2 (real z) obey the same model.  The bound is about 2e-8
-    for a pair of 64 x 64 arrays.
+    The returned bound is B + e (N M + B), the error of every computed
+    count.  It is never below the decision's B + g_3: e > eps_2 > g_3 and
+    N M >= 1.  So one bound serves both (_certify): the pass decides under
+    a bound below 1/2, and counts are rounded under one below 1/4.  The
+    bound is about 2.4e-8 for a pair of 64 x 64 arrays and 1e-6 for 8
+    arrays of 128 x 128 at q = 12, nearly all of it B; it passes 1/2
+    before 2^30 cells.
     """
-    return _embedding_error(P1, P2, q, cells, members) + _gamma(3)
-
-
-def _embedding_error(P1: int, P2: int, q: int, cells: int, members: int) -> float:
-    """B of spectral_error_bound step 3: the error of every entry of one summed correlation of xi^(j c)."""
     eps = _fft_error(math.log2(P1 * P2))
     root = 0.0 if 4 % q == 0 else _ROOT_ULPS * _UNIT_ROUNDOFF
     f = root + eps * (1 + root)
@@ -408,45 +421,27 @@ def _embedding_error(P1: int, P2: int, q: int, cells: int, members: int) -> floa
     g = math.sqrt(2) * _gamma(2)
     g += _gamma(members) * (1 + g)
     h = f * (K + 1) + g * (1 + f) * K
-    return members * cells ** 1.5 * (h + eps * (1 + h))
-
-
-def _count_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> float:
-    """A-priori bound on |computed - exact| for every count that _counts_at recovers.
-
-    The counts n_e at one shift, of N = members pairs of arrays of
-    M = cells entries, come from r_0..r_(q/2) (see _counts_at), with
-    transforms of size P1 x P2 as in the spectral pass.  eps, g_k and the
-    FFT model are _fft_error's.
-
-    1. Inputs.  r_0 is exact.  Each other r_j is computed like the
-       spectral pass's correlations, and steps 1-3 of spectral_error_bound
-       hold for any j: the roots xi^(j e) are exact at a multiple of a
-       quarter turn and within _ROOT_ULPS u otherwise, as for the coprime
-       j.  So each computed r_j is within B = N M^(3/2) (h + eps (1 + h))
-       of the exact one.  Conjugation and the Hermitian extension are
-       exact, so the length-q input y of the inverse transform is off by
-       delta with |delta_j| <= B in each of its q entries.
-    2. Propagation.  The exact normalised inverse DFT (1/q) F* delta has
-       entries at most (1/q) sum_j |delta_j| <= B, and 2-norm
-       ||delta||_2 / sqrt(q) <= B.
-    3. Rounding.  The length-q inverse transform is taken to obey the FFT
-       model with t = q in place of log2 q: more stages than any
-       factorisation of q into radices has, an allowance for the
-       mixed-radix kernels that serve q = 6 and 12.  Scaling by 1/q adds
-       g_2 (1/q rounded, then one product).  So the computed counts differ
-       from (1/q) F* (y + delta) by at most e = eps_q + g_2 (1 + eps_q)
-       times its 2-norm, which is at most ||n||_2 + B <= N M + B: the n_e
-       are nonnegative and sum to N times the overlap, at most N M.
-
-    Every computed count is therefore within B + e (N M + B) of the exact
-    one.  For 8 arrays at q = 12 that is about 1e-7 at 64 x 64 and 1e-6 at
-    128 x 128, nearly all of it B; it passes 1/4 before 2^30 cells.
-    """
+    bound = members * cells ** 1.5 * (h + eps * (1 + h))
     error = _fft_error(q)
     error += _gamma(2) * (1 + error)
-    bound = _embedding_error(P1, P2, q, cells, members)
     return bound + error * (members * cells + bound)
+
+
+def _certify(L1: int, L2: int, q: int, members: int, limit: float, deviation: float = 0.0) -> None:
+    """Raise ArithmeticError unless _count_error_bound and the observed deviation both lie below limit.
+
+    The bound is the one for members pairs of L1 x L2 arrays over Z_q.
+    The spectral pass decides under limit 1/2, where nothing is observed
+    but a NaN; counts are rounded under _CERTIFIED, with their observed
+    distance to the nearest integers.  The error names both.
+    """
+    bound = _count_error_bound(_transform_size(L1), _transform_size(L2), q, L1 * L2, members)
+    if not (bound < limit and deviation < limit):
+        raise ArithmeticError(
+            f"cannot certify the {L1}x{L2} q={q} correlation counts: a-priori error "
+            f"bound {bound:.3g}, observed distance to integers {deviation:.3g}; "
+            f"both must be below {limit}"
+        )
 
 
 def _embeddings(q: int) -> list[int]:
@@ -492,7 +487,7 @@ def _correlation(block, index, q: int, j: int, shape) -> np.ndarray:
 
 
 def _spectral_pass(pairs, expected_center: int, max_violations: int):
-    """The shifts where the summed correlations miss their expected values, with exact counts, if certified.
+    """The shifts where the summed correlations miss their expected values, with exact counts.
 
     pairs lists (c, d) arrays of one alphabet and shape, c the shifted one
     as in cross_correlation; the expected value is expected_center at
@@ -502,15 +497,15 @@ def _spectral_pass(pairs, expected_center: int, max_violations: int):
     coprime to q, is a nonzero rational integer, so some |sigma_j(alpha)|
     is at least 1.  sigma_j(alpha) at every shift at once is _correlation
     less the centre at the origin; sigma_(q-j) is its conjugate, so
-    _embeddings(q) suffice.  Each computed value is within
-    spectral_error_bound of the exact one, so when that bound lies below
-    1/2, a shift's alpha is nonzero exactly when some embedding's computed
-    |sigma_j| there is at least 1/2: the OR of the per-embedding masks is
-    the exact violation set.
+    _embeddings(q) suffice.  When _count_error_bound lies below 1/2, a
+    shift's alpha is nonzero exactly when some embedding's computed
+    |sigma_j| there is at least 1/2 (its step 4): the OR of the
+    per-embedding masks is the exact violation set.
 
-    Returns None when the pass decides nothing: the bound is not below
-    1/2, a computed value is NaN, or the counts cannot be certified.
-    Otherwise (kept, counts, truncated): kept holds the flat row-major
+    Raises ArithmeticError (_certify) when the pass cannot decide: the
+    bound is not below 1/2, or a computed value is NaN; and when the
+    counts it lists fail their certificate (_counts_at).  Otherwise it
+    returns (kept, counts, truncated): kept holds the flat row-major
     indices (u1 + L1 - 1) * (2*L2 - 1) + u2 + L2 - 1 of the first
     max_violations violating shifts, counts the exact exponent counts of
     the summed correlations, uncentred, at those shifts (_counts_at),
@@ -523,9 +518,8 @@ def _spectral_pass(pairs, expected_center: int, max_violations: int):
     """
     c = pairs[0][0]
     q, L1, L2 = c.q, c.L1, c.L2
+    _certify(L1, L2, q, len(pairs), 0.5)
     shape = (_transform_size(L1), _transform_size(L2))
-    if not spectral_error_bound(*shape, q, L1 * L2, len(pairs)) < 0.5:
-        return None
     arrays = list({id(a): a for pair in pairs for a in pair}.values())
     slot = {id(a): k for k, a in enumerate(arrays)}
     index = [(slot[id(a)], slot[id(b)]) for a, b in pairs]
@@ -541,19 +535,15 @@ def _spectral_pass(pairs, expected_center: int, max_violations: int):
             if not max_violations:
                 return np.empty(0, dtype=np.intp), np.empty((0, q), dtype=np.int64), True
             bad = magnitude >= 0.5 if bad is None else bad | (magnitude >= 0.5)
-        elif not largest < 0.5:  # NaN: nothing is decided
-            return None
+        elif not largest < 0.5:  # NaN fails the certificate
+            _certify(L1, L2, q, len(pairs), 0.5, largest)
     if bad is None:
         return np.empty(0, dtype=np.intp), np.empty((0, q), dtype=np.int64), False
     # Rolled by (L1 - 1, L2 - 1), entry (u1 mod P1, u2 mod P2) lands at
     # (u1 + L1 - 1, u2 + L2 - 1): the shifts in row-major order.
     found = np.flatnonzero(np.roll(bad, (L1 - 1, L2 - 1), axis=(0, 1))[:2 * L1 - 1, :2 * L2 - 1])
     kept = found[:max_violations]
-    try:
-        counts = _counts_at(block, index, q, kept, correlations)
-    except ArithmeticError:
-        return None
-    return kept, counts, len(found) > max_violations
+    return kept, _counts_at(block, index, q, kept, correlations), len(found) > max_violations
 
 
 def _counts_at(block, index, q: int, kept, correlations) -> np.ndarray:
@@ -566,10 +556,10 @@ def _counts_at(block, index, q: int, kept, correlations) -> np.ndarray:
     _correlation.  The counts are real, so
     n_e = (1/q) sum_(j in Z_q) conj(r_j) xi^(j e) with r_(q-j) = conj(r_j):
     one length-q irfft of conj(r_0), ..., conj(r_(q/2)) per shift.  They
-    are rounded only under a certificate: the a-priori bound of
-    _count_error_bound and the observed distance to the nearest integers
-    must both lie below 1/4, and ArithmeticError, naming both, is raised
-    otherwise.  The counts are a fresh C-ordered int64 array.
+    are rounded only under the certificate of _certify: the a-priori bound
+    and the observed distance to the nearest integers must both lie below
+    1/4, and ArithmeticError, naming both, is raised otherwise.  The counts
+    are a fresh C-ordered int64 array.
     """
     L1, L2 = block.shape[1:]
     shape = (_transform_size(L1), _transform_size(L2))
@@ -584,14 +574,7 @@ def _counts_at(block, index, q: int, kept, correlations) -> np.ndarray:
         np.conjugate(values[at], out=spectrum[j])
     counts = np.fft.irfft(spectrum, n=q, axis=0)
     rounded = np.rint(counts)
-    deviation = float(np.abs(counts - rounded).max())
-    bound = _count_error_bound(*shape, q, L1 * L2, len(index))
-    if not (bound < _CERTIFIED and deviation < _CERTIFIED):
-        raise ArithmeticError(
-            f"cannot certify the {L1}x{L2} q={q} correlation counts: a-priori error "
-            f"bound {bound:.3g}, observed distance to integers {deviation:.3g}; "
-            f"both must be below {_CERTIFIED}"
-        )
+    _certify(L1, L2, q, len(index), _CERTIFIED, float(np.abs(counts - rounded).max()))
     return np.ascontiguousarray(rounded.T, dtype=np.int64)
 
 

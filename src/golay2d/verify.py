@@ -14,11 +14,9 @@ at most _DIRECT_PAIRS cell pairs does so on the sum of exact count
 tensors, reduced modulo the cyclotomic polynomial.  A larger one takes its
 whole answer from the norm-certified spectral pass of
 correlation._spectral_pass, which builds no count tensor: the exact set of
-violating shifts, and the exact counts at the ones it lists.  Only a check
-that the pass cannot certify (its bound is not below 1/2, a value is NaN,
-or the counts cannot be rounded under their certificate) falls back to the
-count tensors.  Either path lists the same shifts with the same integer
-counts, so the same values, bit for bit.
+violating shifts, and the exact counts at the ones it lists.  A check that
+the pass cannot certify raises ArithmeticError.  Either path lists the
+same shifts with the same integer counts, so the same values, bit for bit.
 """
 
 from __future__ import annotations
@@ -76,13 +74,14 @@ def _check(pairs, expected_center, max_violations):
 
     pairs lists (c, d) arrays, c the shifted one as in cross_correlation;
     (a, a) stands for a's autocorrelation.  A check above _DIRECT_PAIRS
-    takes its whole answer from the spectral pass when that certifies it:
-    the violating shifts, and the exact counts at the first max_violations
-    of them.  Every other check sums the tables, subtracts the expected
-    centre at the origin from the reduced sum (row 0 of reduction_matrix
-    is e_0) and lists the shifts left nonzero.  Both give the violating
-    shifts in row-major order and the uncentred counts of the kept ones,
-    the same integers, so a listed value is the same float on either path.
+    takes its whole answer from the spectral pass: the violating shifts,
+    and the exact counts at the first max_violations of them; it raises
+    ArithmeticError when the pass cannot certify them.  A smaller check
+    sums the tables, subtracts the expected centre at the origin from the
+    reduced sum (row 0 of reduction_matrix is e_0) and lists the shifts
+    left nonzero.  Both give the violating shifts in row-major order and
+    the uncentred counts of the kept ones, the same integers, so a listed
+    value is the same float on either path.
     """
     c = pairs[0][0]
     q, L1, L2 = c.q, c.L1, c.L2
@@ -91,10 +90,9 @@ def _check(pairs, expected_center, max_violations):
     else:
         diffs = np.stack([a.entries - b.entries for a, b in pairs]) % q
         center = CorrelationValue(q, np.bincount(diffs.ravel(), minlength=q))
-    spectral = None
     if (L1 * L2) ** 2 > _DIRECT_PAIRS:
-        spectral = _spectral_pass(pairs, expected_center, max_violations)
-    if spectral is None:
+        kept, counts, truncated = _spectral_pass(pairs, expected_center, max_violations)
+    else:
         tables = [
             auto_correlation_table(a) if a is b else cross_correlation_table(a, b) for a, b in pairs
         ]
@@ -104,8 +102,6 @@ def _check(pairs, expected_center, max_violations):
         found = np.flatnonzero(reduced.any(axis=-1))
         kept, truncated = found[:max_violations], len(found) > max_violations
         counts = total.counts.reshape(-1, q)[kept]
-    else:
-        kept, counts, truncated = spectral
     if not len(kept):
         return VerificationResult(not truncated, (), center, expected_center, truncated)
     u1 = (kept // (2 * L2 - 1) - (L1 - 1)).tolist()

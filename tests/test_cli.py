@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from golay2d import QaryArray, construct_gcap_general, construct_mate
-from golay2d import cli, formats
+from golay2d import cli, correlation, formats
 from golay2d.cli import build_parser, main
 from golay2d.constructions import DEFAULT_ENUM_BUDGET
 from golay2d.verify import DEFAULT_MAX_VIOLATIONS, DEFAULT_PAIR_BUDGET
 
 import golden
+from helpers import random_general_spec
 
 
 def write_spec(tmp_path, name, doc):
@@ -312,6 +313,40 @@ def test_search_nonpositive_size_exits_2(capsys):
     assert "L2" in _one_line_error(capsys.readouterr().err)
     assert main(["search", "2", "1", "1", "--budget", "-1"]) == 2
     assert "budget must be at least 0, got -1" in _one_line_error(capsys.readouterr().err)
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    # An input too large to hold is an input error, not a failed check.
+    # numpy's MemoryError names the shape it could not allocate; it is
+    # raised here without a real allocation.
+    message = "Unable to allocate 8.00 TiB for an array with shape (1099511627776,) and data type int64"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "brute_force_gcaps", out_of_memory)
+    assert main(["search", "2", "5", "8", "--budget", str(1 << 80)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line_error(captured.err) == f"error: {message}"
+
+
+def test_uncertified_check_and_table_exit_2(tmp_path, monkeypatch, capsys):
+    # Without a certified error bound neither a check above 128 cells nor
+    # a table of one is decided: each exits 2 naming the shape and q.
+    c, d = construct_gcap_general(random_general_spec(np.random.default_rng(7), q=4, n=4, m=4))
+    entries = c.entries.copy()
+    entries[-1, -1] = (entries[-1, -1] + 1) % 4
+    paths = [str(tmp_path / "c.csv"), str(tmp_path / "d.csv")]
+    formats.save_array(QaryArray(4, entries), paths[0])
+    formats.save_array(d, paths[1])
+    monkeypatch.setattr(correlation, "_count_error_bound", lambda *args: 1.0)
+    for argv in (["verify", "gcap", *paths], ["corr", paths[0]]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = _one_line_error(captured.err)
+        assert "16x16 q=4" in message and "a-priori error bound 1," in message
 
 
 def test_ragged_csv_names_the_line(tmp_path, capsys):

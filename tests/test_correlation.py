@@ -25,7 +25,6 @@ from golay2d.correlation import (
     _direct_tensor,
     _spectral_pass,
     reduction_matrix,
-    spectral_error_bound,
 )
 
 import golden
@@ -298,28 +297,37 @@ def test_count_tensor_uncertified_rounding_raises(monkeypatch):
 
 
 def test_spectral_error_bound_certifies_practical_sizes():
-    assert spectral_error_bound(128, 128, 2, 64 * 64, 2) < 1e-7
-    assert spectral_error_bound(256, 256, 12, 128 * 128, 8) < 1e-5
-    assert spectral_error_bound(2048, 2048, 8, 1024 * 1024, 4) < 1e-3
-    assert spectral_error_bound(1, 1, 2, 1, 1) < 1e-15
-    assert spectral_error_bound(1 << 16, 1 << 16, 12, 1 << 30, 2) > 0.5
+    # The spectral pass decides under _count_error_bound below 1/2: a 64 x 64
+    # pair, eight 128 x 128 arrays at q = 12 and four 1024 x 1024 arrays
+    # are certified; 2^30 cells are not.
+    assert _count_error_bound(128, 128, 2, 64 * 64, 2) < 1e-7
+    assert _count_error_bound(256, 256, 12, 128 * 128, 8) < 1e-5
+    assert _count_error_bound(2048, 2048, 8, 1024 * 1024, 4) < 1e-3
+    assert 2e-15 < _count_error_bound(1, 1, 2, 1, 1) < 3e-15
+    assert _count_error_bound(1 << 16, 1 << 16, 12, 1 << 30, 2) > 0.5
     # Inexact roots and more members cost more.
-    assert spectral_error_bound(128, 128, 8, 4096, 2) > spectral_error_bound(128, 128, 4, 4096, 2)
-    assert spectral_error_bound(128, 128, 4, 4096, 4) > spectral_error_bound(128, 128, 4, 4096, 2)
+    assert _count_error_bound(128, 128, 8, 4096, 2) > _count_error_bound(128, 128, 4, 4096, 2)
+    assert _count_error_bound(128, 128, 4, 4096, 4) > _count_error_bound(128, 128, 4, 4096, 2)
+    # The pass's certificate agrees: it holds at the practical sizes and
+    # fails, naming shape and q, at 2^30 cells.
+    correlation._certify(64, 64, 2, 2, 0.5)
+    correlation._certify(128, 128, 12, 8, 0.5)
+    correlation._certify(1024, 1024, 8, 4, 0.5)
+    with pytest.raises(ArithmeticError, match=r"32768x32768 q=12 .*both must be below 0\.5"):
+        correlation._certify(1 << 15, 1 << 15, 12, 2, 0.5)
 
 
 def test_count_error_bound_certifies_practical_sizes():
     # The counts at kept shifts and in large tables are rounded under this
-    # bound: 8 arrays of 64 x 64 at q = 12, single tables, pairs and sets of
-    # 128 x 128, are certified; 2^30 cells are not.
+    # bound below 1/4: 8 arrays of 64 x 64 at q = 12, single tables, pairs
+    # and sets of 128 x 128 are certified; 2^30 cells are not.
     assert _count_error_bound(128, 128, 12, 64 * 64, 8) < 0.25
     assert _count_error_bound(256, 256, 12, 128 * 128, 1) < 0.25
     for q in (2, 4, 8, 12):
         assert _count_error_bound(256, 256, q, 128 * 128, 2) < 0.25
     assert _count_error_bound(256, 256, 12, 128 * 128, 8) < 0.25
     assert _count_error_bound(1 << 16, 1 << 16, 12, 1 << 30, 2) > 0.25
-    # It covers the decision's correlation error, and more members cost more.
-    assert _count_error_bound(128, 128, 8, 4096, 2) > spectral_error_bound(128, 128, 8, 4096, 2) - 1e-15
+    # More members cost more.
     assert _count_error_bound(128, 128, 4, 4096, 4) > _count_error_bound(128, 128, 4, 4096, 2)
 
 

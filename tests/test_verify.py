@@ -389,11 +389,11 @@ def test_passing_checks_above_the_direct_size_build_no_tensor(monkeypatch):
 
 
 def _tensor_reference(monkeypatch, check):
-    """check() with the spectral bound uncertified, so through the count tensors."""
+    """check() through the count tensors, as if it were of the direct size."""
     built = []
     count_tensor = correlation._count_tensor
     with monkeypatch.context() as patch:
-        patch.setattr(correlation, "spectral_error_bound", lambda *args: 1.0)
+        patch.setattr(verify, "_DIRECT_PAIRS", 1 << 62)
         patch.setattr(correlation, "_count_tensor", lambda c, d: built.append(c) or count_tensor(c, d))
         result = check()
     assert built
@@ -436,18 +436,26 @@ def test_zero_violation_failures_above_the_direct_size_build_no_tensor(monkeypat
         assert_same_result(mate_result, mate_reference)
 
 
-def test_uncertified_spectral_pass_falls_back_to_the_tensors(monkeypatch):
+def _first_array(check):
+    first = check.args[0]
+    while not isinstance(first, QaryArray):
+        first = first[0]
+    return first
+
+
+def test_uncertified_checks_above_the_direct_size_raise(monkeypatch):
+    # With the bound not below 1/2 the spectral pass decides nothing, and
+    # no check falls back to the count tensors: pair, set, mate and 1-D
+    # set checks raise, naming their shape and q, whatever the cap.
     checks = _checks_above_the_direct_size(np.random.default_rng(47))
-    spectral = [check() for check in checks]
-    built = []
-    count_tensor = correlation._count_tensor
-    monkeypatch.setattr(correlation, "spectral_error_bound", lambda *args: 1.0)
-    monkeypatch.setattr(correlation, "_count_tensor", lambda c, d: built.append(c) or count_tensor(c, d))
-    for check, expected in zip(checks, spectral):
-        del built[:]
-        result = check()
-        assert built
-        assert result == expected and result.center_value.counts == expected.center_value.counts
+    monkeypatch.setattr(correlation, "_count_error_bound", lambda *args: 1.0)
+    monkeypatch.setattr(correlation, "_count_tensor", _no_tensor)
+    for check in checks:
+        a = _first_array(check)
+        message = rf"cannot certify the {a.L1}x{a.L2} q={a.q} correlation counts: a-priori error bound 1,"
+        for cap in (0, 1, 16, (2 * a.L1 - 1) * (2 * a.L2 - 1)):
+            with pytest.raises(ArithmeticError, match=message):
+                check(max_violations=cap)
 
 
 def _invisible_to_sigma_1(rng, q, exponents, shape=(12, 11)):
@@ -479,35 +487,41 @@ def test_every_embedding_feeds_the_violation_list(monkeypatch):
         assert_same_result(result, reference)
 
 
-def test_uncertified_counts_fall_back_to_the_tensors(monkeypatch):
-    # With the count bound above 1/4 a failing check that lists violations
-    # takes the tensors; a pass and a failure that lists none still do not.
+def test_nan_correlation_raises(monkeypatch):
+    # A NaN is neither below nor at least 1/2, so it decides nothing.
+    c, d = construct_gcap_general(random_general_spec(np.random.default_rng(71), q=4, n=4, m=4))
+    correlate = correlation._correlation
+    monkeypatch.setattr(correlation, "_correlation", lambda *args: correlate(*args) * np.nan)
+    monkeypatch.setattr(correlation, "_count_tensor", _no_tensor)
+    with pytest.raises(ArithmeticError, match=r"16x16 q=4 .* observed distance to integers nan; both must be below 0\.5"):
+        is_gcap(c, d)
+
+
+def test_decisions_certified_without_counts(monkeypatch):
+    # With the bound in [1/4, 1/2) the pass still decides: passes and
+    # failures that list no violation keep their results and build no
+    # tensor.  Counts are not certified, so a check that lists violations
+    # raises.
     rng = np.random.default_rng(67)
+    passing = _checks_above_the_direct_size(rng)
     spec = random_general_spec(rng, q=8, n=4, m=4)
     c, d = construct_gcap_general(spec)
     entries = c.entries.copy()
     entries[0, 0] = (entries[0, 0] + 3) % 8
     bad = QaryArray(8, entries)
-    failing = [partial(is_gcap, bad, d, cap) for cap in (1, 16, 961)]
-    failing.append(partial(is_mate, (c, d), (bad, construct_mate(spec)[1])))
-    expected = [check() for check in failing]
-    # Only the checks' bounds fail: the fallback's tables, one pair each,
-    # keep theirs.
-    bound = correlation._count_error_bound
-    monkeypatch.setattr(
-        correlation, "_count_error_bound",
-        lambda P1, P2, q, cells, members: 1.0 if members > 1 else bound(P1, P2, q, cells, members),
-    )
-    for check, result in zip(failing, expected):
-        built = []
-        count_tensor = correlation._count_tensor
-        with monkeypatch.context() as patch:
-            patch.setattr(correlation, "_count_tensor", lambda c, d: built.append(c) or count_tensor(c, d))
-            assert_same_result(check(), result)
-        assert built
+    mate = (bad, construct_mate(spec)[1])
+    deciding = [partial(check, max_violations=cap) for check in passing for cap in (0, 1, 16)]
+    deciding += [partial(is_gcap, bad, d, 0), partial(is_mate, (bad, d), construct_mate(spec), 0)]
+    expected = [check() for check in deciding]
+    assert not expected[-2].passed and expected[-2].truncated and not expected[-1].passed
+    monkeypatch.setattr(correlation, "_count_error_bound", lambda *args: 0.3)
     monkeypatch.setattr(correlation, "_count_tensor", _no_tensor)
-    assert is_gcap(c, d).passed
-    assert not is_gcap(bad, d, max_violations=0).passed
+    for check, result in zip(deciding, expected):
+        assert_same_result(check(), result)
+    message = r"cannot certify the 16x16 q=8 correlation counts: a-priori error bound 0\.3,.* below 0\.25"
+    for check in [partial(is_gcap, bad, d, cap) for cap in (1, 16, 961)] + [partial(is_mate, (c, d), mate)]:
+        with pytest.raises(ArithmeticError, match=message):
+            check()
 
 
 def test_small_checks_still_count_tables_in_the_verify_module(monkeypatch):

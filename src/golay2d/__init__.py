@@ -6,92 +6,13 @@ identities by exact root-of-unity arithmetic, and analyzes the PAPR of row
 and column sequences together with the construction-implied bounds.
 """
 
-from .boolfunc import (
-    GeneralizedBooleanFunction,
-    QaryArray,
-    VariableRole,
-    function_from_array,
-    z_role,
-)
-from .correlation import (
-    CorrelationTable,
-    CorrelationValue,
-    auto_correlation,
-    auto_correlation_table,
-    correlation_sum,
-    cross_correlation,
-    cross_correlation_table,
-    cyclotomic_polynomial,
-)
-from .constructions import (
-    GcapBasicSpec,
-    GcapGeneralSpec,
-    GcasSpec,
-    construct_gcap_basic,
-    construct_gcap_general,
-    construct_gcas,
-    construct_mate,
-    count_general_gcaps,
-    enumerate_general_gcaps,
-    gcs_1d,
-    gdj_pair,
-    basic_as_general_spec,
-)
-from .papr import (
-    PaprReport,
-    RunPartition,
-    papr_bounds,
-    papr_report,
-    papr_sequence,
-    run_partition,
-)
-from .verify import (
-    VerificationResult,
-    brute_force_gcaps,
-    is_gcap,
-    is_gcas,
-    is_gcs,
-    is_mate,
-)
+from . import boolfunc, constructions, correlation, papr, verify
+from .boolfunc import *
+from .correlation import *
+from .constructions import *
+from .papr import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GeneralizedBooleanFunction",
-    "QaryArray",
-    "VariableRole",
-    "function_from_array",
-    "z_role",
-    "CorrelationTable",
-    "CorrelationValue",
-    "auto_correlation",
-    "auto_correlation_table",
-    "correlation_sum",
-    "cross_correlation",
-    "cross_correlation_table",
-    "cyclotomic_polynomial",
-    "GcapBasicSpec",
-    "GcapGeneralSpec",
-    "GcasSpec",
-    "construct_gcap_basic",
-    "construct_gcap_general",
-    "construct_gcas",
-    "construct_mate",
-    "count_general_gcaps",
-    "enumerate_general_gcaps",
-    "gcs_1d",
-    "gdj_pair",
-    "basic_as_general_spec",
-    "PaprReport",
-    "RunPartition",
-    "papr_bounds",
-    "papr_report",
-    "papr_sequence",
-    "run_partition",
-    "VerificationResult",
-    "brute_force_gcaps",
-    "is_gcap",
-    "is_gcas",
-    "is_gcs",
-    "is_mate",
-]
+__all__ = boolfunc.__all__ + correlation.__all__ + constructions.__all__ + papr.__all__ + verify.__all__

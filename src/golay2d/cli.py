@@ -12,6 +12,7 @@ oversampling factor of the papr subcommand; the others ignore it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -34,7 +35,7 @@ from .constructions import (
     gdj_pair,
 )
 from .correlation import auto_correlation_table, cross_correlation_table
-from .papr import DEFAULT_OVERSAMPLING, _MIN_OVERSAMPLING, papr_report
+from .papr import DEFAULT_OVERSAMPLING, _check_oversampling, papr_report
 from .verify import (
     DEFAULT_MAX_VIOLATIONS,
     DEFAULT_PAIR_BUDGET,
@@ -58,7 +59,7 @@ def _default_oversampling() -> int:
     except ValueError as exc:
         raise ValueError(f"{OVERSAMPLE_ENV} must be an integer, got {raw!r}") from exc
     try:
-        return _at_least(value, _MIN_OVERSAMPLING, "oversampling")
+        return _check_oversampling(value)
     except ValueError as exc:
         raise ValueError(f"{OVERSAMPLE_ENV}: {exc}") from exc
 
@@ -184,12 +185,12 @@ def cmd_enumerate(args) -> int:
     budget = _at_least(args.budget, 0, "budget")
     formula = count_general_gcaps(args.q, args.n, args.m)
     raw = _raw_spec_count(args.q, args.n, args.m)
-    print(f"formula: {formula}")
     if raw > budget:
+        print(f"formula: {formula}")
         print(f"enumeration skipped: {raw} raw specs exceed budget {budget}")
         return 0
-    dump = open(args.dump, "w", encoding="utf-8") if args.dump else None
-    try:
+    # The report is printed once the stream has run, so a failing run prints none of it.
+    with open(args.dump, "w", encoding="utf-8") if args.dump else contextlib.nullcontext() as dump:
         # First arrays of one shape, keyed by their bytes: an array has
         # exactly one ANF, so distinct arrays are distinct functions.
         seen = set()
@@ -202,9 +203,7 @@ def cmd_enumerate(args) -> int:
                 record["c"] = formats.array_to_json_dict(c)["entries"]
                 record["d"] = formats.array_to_json_dict(d)["entries"]
                 dump.write(json.dumps(record) + "\n")
-    finally:
-        if dump:
-            dump.close()
+    print(f"formula: {formula}")
     print(f"raw specs: {count}")
     print(f"distinct arrays: {len(seen)}")
     if len(seen) != formula:

@@ -12,6 +12,7 @@ exponent-count vectors) is the lossless interchange format for every q.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -47,7 +48,6 @@ __all__ = [
     "PAIR_KINDS",
 ]
 
-GEN_KINDS = ("gcap-basic", "gcap-general", "mate", "gcas", "gdj", "gcs1d")
 # The kinds whose spec gives the PAPR bounds of one array of a pair.
 PAIR_KINDS = ("gcap-basic", "gcap-general", "gdj")
 
@@ -260,6 +260,7 @@ def correlation_table_from_json_dict(d: dict) -> CorrelationTable:
 # ---------------------------------------------------------------------------
 
 # kind -> (spec class, required keys, optional keys); the 1-D kinds have n = 0.
+# spec_to_json_dict writes a spec under the keys of the first kind of its class.
 _SPEC_KEYS = {
     "gcap-basic": (GcapBasicSpec, ("q", "n", "m", "pi1", "pi2"), ("p", "lambda", "p0")),
     "gcap-general": (GcapGeneralSpec, ("q", "n", "m", "pi"), ("p", "p0")),
@@ -268,6 +269,7 @@ _SPEC_KEYS = {
     "gdj": (GcapGeneralSpec, ("q", "m", "pi"), ("p", "p0")),
     "gcs1d": (GcasSpec, ("q", "m", "blocks"), ("p", "p0")),
 }
+GEN_KINDS = tuple(_SPEC_KEYS)
 
 
 def parse_construction_spec(kind: str, d: dict):
@@ -307,18 +309,17 @@ def parse_pair_spec(d: dict):
     )
 
 
+def _lists(value):
+    """value with every tuple in it, at any depth, as a list, as JSON writes it."""
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
 def spec_to_json_dict(spec) -> dict:
-    if isinstance(spec, GcapGeneralSpec):
-        return {"q": spec.q, "n": spec.n, "m": spec.m, "pi": list(spec.pi),
-                "p": list(spec.p), "p0": spec.p0}
-    if isinstance(spec, GcapBasicSpec):
-        return {"q": spec.q, "n": spec.n, "m": spec.m, "pi1": list(spec.pi1),
-                "pi2": list(spec.pi2), "p": list(spec.p),
-                "lambda": list(spec.lam), "p0": spec.p0}
-    if isinstance(spec, GcasSpec):
-        return {"q": spec.q, "n": spec.n, "m": spec.m,
-                "blocks": [list(b) for b in spec.blocks],
-                "p": list(spec.p), "p0": spec.p0}
+    """The spec under the keys of its class's kind: gcap-basic, gcap-general or gcas."""
+    for cls, required, optional in _SPEC_KEYS.values():
+        if isinstance(spec, cls):
+            return {key: _lists(getattr(spec, "lam" if key == "lambda" else key))
+                    for key in required + optional}
     raise TypeError(f"cannot serialize {type(spec).__name__}")
 
 
@@ -327,13 +328,7 @@ def spec_to_json_dict(spec) -> dict:
 # ---------------------------------------------------------------------------
 
 def papr_report_to_json_dict(report: PaprReport) -> dict:
-    return {
-        "per_row": list(report.per_row),
-        "per_col": list(report.per_col),
-        "row_bound": report.row_bound,
-        "col_bound": report.col_bound,
-        "oversampling": report.oversampling,
-    }
+    return {f.name: _lists(getattr(report, f.name)) for f in dataclasses.fields(report)}
 
 
 def verification_to_json_dict(result: VerificationResult) -> dict:

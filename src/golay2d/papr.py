@@ -3,9 +3,9 @@
 A length-L phase sequence s over Z_q modulates L subcarriers; the continuous
 envelope power |S(t)|^2 = |sum_i xi^{s_i} exp(2*pi*sqrt(-1)*i*t)|^2 is a
 trigonometric polynomial of degree below L and has period 1 in t.  The peak
-is located by dense sampling at R*L uniform points followed by a local
-safeguarded Newton refinement down to 1e-10 in t, which pins the maximum
-far below the 1e-3 tolerances used by the numeric tests.
+is located by dense sampling at R*L uniform points (4 <= R <= 2^20) and a
+local safeguarded Newton refinement down to 1e-10 in t, which pins the
+maximum far below the 1e-3 tolerances used by the numeric tests.
 
 One kernel measures a whole matrix of sequences.  The best of the R*L
 samples is found without taking all of them: a zero-padded inverse FFT
@@ -63,6 +63,7 @@ __all__ = [
 
 DEFAULT_OVERSAMPLING = 256
 _MIN_OVERSAMPLING = 4
+_MAX_OVERSAMPLING = 1 << 20
 _REFINE_TOL = 1e-10
 # Samples per 1/L on the coarse subgrid that locates each row's best sample.
 _COARSE_OVERSAMPLING = 16
@@ -269,6 +270,14 @@ def _paprs(seqs: np.ndarray, q: int, oversampling: int) -> np.ndarray:
     return best / L
 
 
+def _check_oversampling(oversampling) -> int:
+    """oversampling as an int R with 4 <= R <= 2^20; an error names the range it leaves."""
+    oversampling = _at_least(oversampling, _MIN_OVERSAMPLING, "oversampling")
+    if oversampling > _MAX_OVERSAMPLING:
+        raise ValueError(f"oversampling must be at most {_MAX_OVERSAMPLING}, got {oversampling}")
+    return oversampling
+
+
 def papr_sequence(seq, q, oversampling: int = DEFAULT_OVERSAMPLING) -> float:
     """Peak-to-average power ratio of a Z_q phase sequence.
 
@@ -281,7 +290,7 @@ def papr_sequence(seq, q, oversampling: int = DEFAULT_OVERSAMPLING) -> float:
     seq = np.asarray(_ints(list(seq), "sequence"), dtype=np.int64)
     if seq.size == 0:
         raise ValueError("expected a nonempty 1-D sequence")
-    oversampling = _at_least(oversampling, _MIN_OVERSAMPLING, "oversampling")
+    oversampling = _check_oversampling(oversampling)
     return float(_paprs(seq[None, :], q, oversampling)[0])
 
 
@@ -344,7 +353,7 @@ def papr_report(c: QaryArray, spec=None, oversampling: int = DEFAULT_OVERSAMPLIN
                 f"spec implies {1 << spec.n}x{1 << spec.m} but array is {c.L1}x{c.L2}"
             )
         row_bound, col_bound = papr_bounds(spec)
-    oversampling = _at_least(oversampling, _MIN_OVERSAMPLING, "oversampling")
+    oversampling = _check_oversampling(oversampling)
     if c.L1 == c.L2:
         # Rows and columns have one length, so one kernel call measures both.
         values = _axis_paprs(np.vstack([c.entries, c.entries.T]), c.q, oversampling)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +298,8 @@ def test_bad_oversample_env_only_affects_papr(tmp_path, monkeypatch, capsys):
         ("lots", "GOLAY2D_OVERSAMPLE must be an integer, got 'lots'"),
         ("3", "GOLAY2D_OVERSAMPLE: oversampling must be at least 4, got 3"),
         ("0", "GOLAY2D_OVERSAMPLE: oversampling must be at least 4, got 0"),
+        ("1048577", "GOLAY2D_OVERSAMPLE: oversampling must be at most 1048576, got 1048577"),
+        ("1099511627776", "GOLAY2D_OVERSAMPLE: oversampling must be at most 1048576, got 1099511627776"),
     ):
         monkeypatch.setenv("GOLAY2D_OVERSAMPLE", value)
         assert main(["verify", "gcap", *paths]) == 0
@@ -324,11 +330,20 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     def out_of_memory(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "brute_force_gcaps", out_of_memory)
-    assert main(["search", "2", "5", "8", "--budget", str(1 << 80)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert _one_line_error(captured.err) == f"error: {message}"
+    def out_of_memory_stream(*args, **kwargs):
+        # A generator: the error comes once the stream is iterated.
+        raise MemoryError(message)
+        yield
+
+    for name, fake, argv in (
+        ("brute_force_gcaps", out_of_memory, ["search", "2", "5", "8", "--budget", str(1 << 80)]),
+        ("enumerate_general_gcaps", out_of_memory_stream, ["enumerate", "2", "1", "1"]),
+    ):
+        monkeypatch.setattr(cli, name, fake)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line_error(captured.err) == f"error: {message}"
 
 
 def test_uncertified_check_and_table_exit_2(tmp_path, monkeypatch, capsys):
@@ -430,10 +445,16 @@ def test_file_input_errors_exit_2(tmp_path, capsys):
 def test_papr_low_oversample_and_odd_q_exit_2(tmp_path, capsys):
     one = tmp_path / "one.csv"
     formats.save_array(QaryArray(2, [[1]]), one)
-    assert main(["papr", str(one), "--oversample", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "oversampling" in _one_line_error(captured.err)
+    for value, bound in (
+        ("2", "at least 4"),
+        ("1048577", "at most 1048576"),
+        ("1099511627776", "at most 1048576"),
+        ("99999999999999999999", "at most 1048576"),
+    ):
+        assert main(["papr", str(one), "--oversample", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line_error(captured.err) == f"error: oversampling must be {bound}, got {value}"
     odd = tmp_path / "odd.csv"
     odd.write_text("# q=3\n0,1,2\n2,1,0\n")
     assert main(["papr", str(odd)]) == 2
@@ -452,3 +473,18 @@ def test_parser_defaults_are_the_library_defaults():
     assert parser.parse_args(["verify", "gcap", "c.csv", "d.csv"]).max_violations == DEFAULT_MAX_VIOLATIONS
     assert parser.parse_args(["enumerate", "2", "1", "1"]).budget == DEFAULT_ENUM_BUDGET
     assert parser.parse_args(["search", "2", "1", "2"]).budget == DEFAULT_PAIR_BUDGET
+
+
+def test_python_m_runs_the_command_line(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "golay2d", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = run("--version")
+    assert done.returncode == 0 and done.stdout == "golay2d 0.1.0\n"
+    missing = str(tmp_path / "missing.csv")
+    done = run("verify", "gcap", missing, missing)
+    assert done.returncode == 2 and done.stdout == ""
+    assert missing in _one_line_error(done.stderr)

@@ -20,7 +20,13 @@ from golay2d import (
 from golay2d import formats
 
 import golden
-from helpers import count_value_inits, random_array
+from helpers import (
+    count_value_inits,
+    random_array,
+    random_basic_spec,
+    random_gcas_spec,
+    random_general_spec,
+)
 
 
 def test_function_json_round_trip():
@@ -181,7 +187,13 @@ def test_pair_spec_takes_the_one_pair_kind_its_keys_fit():
 
 
 def test_spec_json_round_trip():
-    for spec in (golden.general_q2_spec(), golden.basic_q4_spec(), golden.gcas_q2_spec()):
+    rng = np.random.default_rng(137)
+    specs = [golden.general_q2_spec(), golden.basic_q4_spec(), golden.gcas_q2_spec()]
+    for _ in range(20):
+        specs += [random_general_spec(rng), random_basic_spec(rng), random_gcas_spec(rng)]
+    for m in (2, 3):
+        specs += [random_general_spec(rng, n=0, m=m), random_gcas_spec(rng, n=0, m=m)]
+    for spec in specs:
         doc = formats.spec_to_json_dict(spec)
         kind = (
             "gcap-general" if isinstance(spec, GcapGeneralSpec)
@@ -191,6 +203,7 @@ def test_spec_json_round_trip():
         assert formats.parse_construction_spec(kind, json.loads(json.dumps(doc))) == spec
     with pytest.raises(TypeError, match="cannot serialize object"):
         formats.spec_to_json_dict(object())
+    assert formats.GEN_KINDS == ("gcap-basic", "gcap-general", "mate", "gcas", "gdj", "gcs1d")
 
 
 def test_report_json_dicts():

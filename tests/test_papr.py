@@ -44,6 +44,12 @@ def test_length_one_sequence():
 def test_oversampling_validation():
     with pytest.raises(ValueError):
         papr_sequence([0, 1], 2, oversampling=2)
+    arr = QaryArray(2, [[0, 1], [1, 0]])
+    for R in ((1 << 20) + 1, 1 << 40, 10 ** 20):
+        with pytest.raises(ValueError, match=f"oversampling must be at most 1048576, got {R}$"):
+            papr_sequence([0, 1], 2, oversampling=R)
+        with pytest.raises(ValueError, match=f"oversampling must be at most 1048576, got {R}$"):
+            papr_report(arr, oversampling=R)
     with pytest.raises(ValueError):
         papr_sequence([], 2)
 

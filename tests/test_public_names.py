@@ -1,7 +1,8 @@
 """Every public name a module of the package exports resolves.
 
 A name deleted from a module but left in its __all__ would break
-`from golay2d.<module> import *`; this test fails on it first.
+`from golay2d.<module> import *`; this test fails on it first.  The package
+itself exports exactly the names of its library modules.
 """
 
 import importlib
@@ -24,3 +25,17 @@ def test_every_exported_name_resolves():
         namespace = {}
         exec(f"from {name} import *", namespace)
         assert set(getattr(module, "__all__", ())) <= namespace.keys()
+
+
+def test_package_exports_the_library_modules_names():
+    # The package's names are its library modules' __all__, as the same
+    # objects, and nothing else: no list of them is kept in __init__.
+    library = [golay2d.boolfunc, golay2d.correlation, golay2d.constructions, golay2d.papr, golay2d.verify]
+    names = [name for module in library for name in module.__all__]
+    assert golay2d.__all__ == names and len(set(names)) == len(names)
+    namespace = {}
+    exec("from golay2d import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(names)
+    for module in library:
+        for name in module.__all__:
+            assert getattr(golay2d, name) is getattr(module, name), (module.__name__, name)

@@ -20,12 +20,17 @@ shift comes from the direct definition, which clips the summation bounds.
 A check that summed correlations vanish need not count them.  At each shift
 the sum less its expected value is an algebraic integer alpha of Z[xi_q],
 and a nonzero alpha has a nonzero integer norm, the product of
-|sigma_j(alpha)| over the j coprime to q.  _spectral_pass computes
-sigma_j(alpha) at every shift by one complex FFT correlation of xi^(j c)
-per embedding j <= q/2.  When the a-priori bound of _count_error_bound
-lies below 1/2, a shift's alpha is nonzero exactly when some embedding's
-computed value there is at least 1/2, so the pass gives the exact set of
-violating shifts.  At the shifts a check lists, the correlations for the
+|sigma_j(alpha)| over the j coprime to q.  _spectral_pass takes a batch of
+checks of one alphabet and shape.  Per embedding j <= q/2 it transforms the
+distinct arrays of the batch once, as xi^(j c), and each check sums its
+pairs' products into the spectrum of sigma_j of its summed correlations.
+By Parseval that spectrum less the centre has the 2-norm of sigma_j(alpha)
+over every shift, times sqrt(P), so one norm per embedding decides the
+check exactly under the a-priori bound of _count_error_bound: a passing
+check takes no inverse transform.  A check that lists its violations
+inverts only the embeddings whose norm shows one, and a shift's alpha is
+nonzero exactly when some such embedding's computed value there is at
+least 1/2.  At the shifts a check lists, the correlations for the
 remaining j <= q/2 complete the length-q spectrum of the counts, and one
 length-q inverse DFT recovers them, rounded when the same bound lies
 below 1/4.  The same recovery at every shift of one pair is a large
@@ -385,10 +390,10 @@ def _count_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> fl
        of two P is exact, so the computed r differs from the exact one by
        at most (||Shat - S||_2 + eps ||Shat||_2) / sqrt(P)
        <= B = N M^(3/2) (h + eps (1 + h)) in 2-norm, and so in every entry.
-    4. Decision.  The spectral pass subtracts the integer centre, which
-       rounds once, and takes |.| (hypot), which adds about an ulp, so a
-       computed modulus v has |rhat - C| <= v / (1 - g_3).  When B + g_3 is
-       below 1/2 and v < 1/2, the exact value is below
+    4. Decision.  A listing check's mask subtracts the integer centre,
+       which rounds once, and takes |.| (hypot), which adds about an ulp,
+       so a computed modulus v has |rhat - C| <= v / (1 - g_3).  When
+       B + g_3 is below 1/2 and v < 1/2, the exact value is below
        1 / (2 (1 - g_3)) + 1/2 - g_3 < 1.
     5. Counts.  The counts n_e at one shift come from r_0..r_(q/2) (see
        _counts_at).  r_0 is exact and each other r_j is within B (steps
@@ -405,14 +410,32 @@ def _count_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> fl
        by at most e = eps_q + g_2 (1 + eps_q) times its 2-norm, which is at
        most ||n||_2 + B <= N M + B: the n_e are nonnegative and sum to N
        times the overlap, at most N M.
+    6. Norm.  Let E be the returned bound, below 1/2, and C the integer
+       centre.  alpha, r less C at the origin, has the transform S - C,
+       so by Parseval ||alpha||_2 = ||S - C||_2 / sqrt(P), and by step 2
+       it is within ||Shat - S||_2 / sqrt(P) <= B of
+       ||Shat - C||_2 / sqrt(P).  The pass (_deviation) subtracts C, one
+       rounding per real component; squares the 2P real components of the
+       full spectrum, one more, a half spectrum's mirrored columns taken
+       twice; adds them, at most 2P - 1 roundings on any path; divides
+       by the power of two P, exactly; and takes the root, one more.  So
+       its v is ||Shat - C||_2 / sqrt(P) times 1 + theta with
+       |theta| <= g = g_(2P+3).  P <= 16 M, as each side of the transform
+       is at most four times the array's, e > eps_2 > 21 u, and g < 0.08
+       for P < 2^48, so with E < 1/2:
+       E g / (1 - g) < (P + 3/2) u / (1 - 2 g) <= 17.5 M u / (1 - 2 g)
+       < 21 M u < e N M <= E - B.  Hence v <= E gives
+       ||alpha||_2 <= E / (1 - g) + B < 2 E < 1, and no shift has
+       |alpha| >= 1; v > E gives ||alpha||_2 >= E / (1 + g) - B > 0, and
+       some shift has alpha != 0.
 
     The returned bound is B + e (N M + B), the error of every computed
     count.  It is never below the decision's B + g_3: e > eps_2 > g_3 and
-    N M >= 1.  So one bound serves both (_certify): the pass decides under
-    a bound below 1/2, and counts are rounded under one below 1/4.  The
-    bound is about 2.4e-8 for a pair of 64 x 64 arrays and 1e-6 for 8
-    arrays of 128 x 128 at q = 12, nearly all of it B; it passes 1/2
-    before 2^30 cells.
+    N M >= 1.  So one bound serves every use (_certify): the pass decides
+    from the norm and builds its masks under a bound below 1/2, and counts
+    are rounded under one below 1/4.  The bound is about 2.4e-8 for a pair
+    of 64 x 64 arrays and 1e-6 for 8 arrays of 128 x 128 at q = 12, nearly
+    all of it B; it passes 1/2 before 2^30 cells.
     """
     eps = _fft_error(math.log2(P1 * P2))
     root = 0.0 if 4 % q == 0 else _ROOT_ULPS * _UNIT_ROUNDOFF
@@ -427,8 +450,8 @@ def _count_error_bound(P1: int, P2: int, q: int, cells: int, members: int) -> fl
     return bound + error * (members * cells + bound)
 
 
-def _certify(L1: int, L2: int, q: int, members: int, limit: float, deviation: float = 0.0) -> None:
-    """Raise ArithmeticError unless _count_error_bound and the observed deviation both lie below limit.
+def _certify(L1: int, L2: int, q: int, members: int, limit: float, deviation: float = 0.0) -> float:
+    """_count_error_bound, after raising ArithmeticError unless it and the observed deviation both lie below limit.
 
     The bound is the one for members pairs of L1 x L2 arrays over Z_q.
     The spectral pass decides under limit 1/2, where nothing is observed
@@ -442,6 +465,7 @@ def _certify(L1: int, L2: int, q: int, members: int, limit: float, deviation: fl
             f"bound {bound:.3g}, observed distance to integers {deviation:.3g}; "
             f"both must be below {limit}"
         )
+    return bound
 
 
 def _embeddings(q: int) -> list[int]:
@@ -466,84 +490,142 @@ def _embedding_roots(q: int, j: int) -> np.ndarray:
     return table
 
 
-def _correlation(block, index, q: int, j: int, shape) -> np.ndarray:
-    """The summed correlations of xi^(j c) and xi^(j d) over the pairs, at every shift.
+def _spectra(block, q: int, j: int, shape) -> np.ndarray:
+    """The forward transforms, of size P1 x P2 = shape, of xi^(j a) for every array a stacked in block.
 
-    block stacks the distinct arrays and index lists each pair's (c, d)
-    slots in it.  Shift (u1, u2) is entry (u1 mod P1, u2 mod P2) of the
-    P1 x P2 = shape result; no shift reaches the other entries, which are
-    0 up to rounding.  Real roots (2j = 0 mod q) take rfft2 and give a real
-    result.  Each array is transformed once, and every pair, an
-    autocorrelation too, adds one product X_c conj(X_d).
+    Real roots (2j = 0 mod q) take rfft2, whose half spectra of
+    P2 // 2 + 1 columns stand for the Hermitian whole.
     """
-    roots = _embedding_roots(q, j)
-    real = roots.dtype == np.float64
-    forward, inverse = (np.fft.rfft2, np.fft.irfft2) if real else (np.fft.fft2, np.fft.ifft2)
-    spectra = forward(roots[block], s=shape)
-    # Pair by pair, on views of the spectra: stacked copies of the pairs'
-    # spectra cost more in freshly touched pages than the products do.
-    products = sum(spectra[a] * spectra[b].conj() for a, b in index)
-    return inverse(products, s=shape)
+    forward = np.fft.rfft2 if 2 * j % q == 0 else np.fft.fft2
+    return forward(_embedding_roots(q, j)[block], s=shape)
 
 
-def _spectral_pass(pairs, expected_center: int, max_violations: int):
-    """The shifts where the summed correlations miss their expected values, with exact counts.
+def _summed(spectra, index) -> np.ndarray:
+    """The spectrum of the summed correlations: X_c conj(X_d) summed over the (c, d) slots in index.
 
-    pairs lists (c, d) arrays of one alphabet and shape, c the shifted one
-    as in cross_correlation; the expected value is expected_center at
-    (0, 0) and 0 elsewhere.  At each shift the summed correlation minus
-    its expected value is an algebraic integer alpha of Z[xi_q].  If alpha
-    is not zero, its norm, the product of |sigma_j(alpha)| over the j
+    Every pair, an autocorrelation too, adds this one product.  Pair by
+    pair, on views of the spectra: stacked copies of the pairs' spectra
+    cost more in freshly touched pages than the products do.
+    """
+    return sum(spectra[a] * spectra[b].conj() for a, b in index)
+
+
+def _inverse(spectrum, q: int, j: int, shape) -> np.ndarray:
+    """The summed correlations under sigma_j at every shift, from their spectrum.
+
+    Shift (u1, u2) is entry (u1 mod P1, u2 mod P2) of the P1 x P2 = shape
+    result; no shift reaches the other entries, which are 0 up to
+    rounding.  Real roots give a real result.
+    """
+    return (np.fft.irfft2 if 2 * j % q == 0 else np.fft.ifft2)(spectrum, s=shape)
+
+
+def _deviation(spectrum, center: int, P2: int) -> float:
+    """||S - C||_2 / sqrt(P): by Parseval, the 2-norm over every shift of the summed correlations less C at the origin.
+
+    spectrum is S over the P1 x P2 frequencies, or rfft2's half of it,
+    P2 // 2 + 1 columns; the two agree for P2 <= 2.  In a half spectrum
+    column 0, and column P2/2, are their own mirror images and count once;
+    every column between them also stands for its mirror, so the sum over
+    them is added once more.  _count_error_bound's step 6 bounds the
+    rounding.
+    """
+    P1, columns = spectrum.shape
+    parts = (spectrum - center).view(np.float64)
+    flat = parts.ravel()
+    total = np.dot(flat, flat)
+    if columns < P2:
+        inner = parts[:, 2:-2]
+        total += np.einsum("ij,ij->", inner, inner)
+    return math.sqrt(total / (P1 * P2))
+
+
+def _spectral_pass(checks):
+    """For each check, the shifts where its summed correlations miss their expected values, with exact counts.
+
+    checks lists (pairs, expected_center, max_violations) of one alphabet
+    and shape.  pairs lists (c, d) arrays, c the shifted one as in
+    cross_correlation; the expected value is expected_center at (0, 0)
+    and 0 elsewhere.  At each shift the summed correlation minus its
+    expected value is an algebraic integer alpha of Z[xi_q].  If alpha is
+    not zero, its norm, the product of |sigma_j(alpha)| over the j
     coprime to q, is a nonzero rational integer, so some |sigma_j(alpha)|
-    is at least 1.  sigma_j(alpha) at every shift at once is _correlation
-    less the centre at the origin; sigma_(q-j) is its conjugate, so
-    _embeddings(q) suffice.  When _count_error_bound lies below 1/2, a
-    shift's alpha is nonzero exactly when some embedding's computed
-    |sigma_j| there is at least 1/2 (its step 4): the OR of the
-    per-embedding masks is the exact violation set.
+    is at least 1; sigma_(q-j) is the conjugate of sigma_j, so
+    _embeddings(q) suffice.
 
-    Raises ArithmeticError (_certify) when the pass cannot decide: the
-    bound is not below 1/2, or a computed value is NaN; and when the
-    counts it lists fail their certificate (_counts_at).  Otherwise it
-    returns (kept, counts, truncated): kept holds the flat row-major
-    indices (u1 + L1 - 1) * (2*L2 - 1) + u2 + L2 - 1 of the first
-    max_violations violating shifts, counts the exact exponent counts of
-    the summed correlations, uncentred, at those shifts (_counts_at),
-    and truncated whether more shifts violate.  The check passes exactly
-    when kept is empty and truncated false.  With max_violations 0 the
-    first embedding that shows a violation ends the pass; otherwise every
-    embedding runs.  An embedding's mask is built only once its largest
-    value reaches 1/2, so a passing check costs one correlation per
-    embedding.
+    Per embedding j, the distinct arrays of all checks are transformed
+    once (_spectra), and each check sums its pairs' products into the
+    spectrum of sigma_j of its summed correlations (_summed).  Its
+    _deviation v_j is the 2-norm of sigma_j(alpha) over every shift, as
+    computed; E is the check's own _count_error_bound, below 1/2.  By
+    step 6 of that bound, v_j <= E for every j puts every |sigma_j(alpha)|
+    below 1, so every norm is 0 and the check passes exactly, without an
+    inverse transform; and v_j > E makes some alpha nonzero, so the check
+    fails exactly.  A check with max_violations 0 ends at its first such
+    embedding.  A listing check inverts only those embeddings and marks
+    the shifts where a computed |sigma_j(alpha)| is at least 1/2 (step
+    4).  That loses no shift: at a violating shift some |sigma_j(alpha)|
+    is at least 1, and then that embedding's v_j exceeds E.
+
+    Raises ArithmeticError (_certify) when the pass cannot decide: a
+    bound is not below 1/2, or a computed norm is NaN; and when the
+    counts a check lists fail their certificate (_counts_at).  Otherwise
+    it returns one (kept, counts, truncated) per check: kept holds the
+    flat row-major indices (u1 + L1 - 1) * (2*L2 - 1) + u2 + L2 - 1 of
+    the first max_violations violating shifts, counts the exact exponent
+    counts of the summed correlations, uncentred, at those shifts, and
+    truncated whether more shifts violate.  A check passes exactly when
+    kept is empty and truncated false.
     """
-    c = pairs[0][0]
+    c = checks[0][0][0][0]
     q, L1, L2 = c.q, c.L1, c.L2
-    _certify(L1, L2, q, len(pairs), 0.5)
+    bounds = [_certify(L1, L2, q, len(pairs), 0.5) for pairs, _, _ in checks]
     shape = (_transform_size(L1), _transform_size(L2))
-    arrays = list({id(a): a for pair in pairs for a in pair}.values())
+    arrays = list({id(a): a for pairs, _, _ in checks for pair in pairs for a in pair}.values())
     slot = {id(a): k for k, a in enumerate(arrays)}
-    index = [(slot[id(a)], slot[id(b)]) for a, b in pairs]
+    indices = [[(slot[id(a)], slot[id(b)]) for a, b in pairs] for pairs, _, _ in checks]
     block = np.stack([a.entries for a in arrays])
-    correlations = {}
-    bad = None
+    nothing = np.empty(0, dtype=np.intp), np.empty((0, q), dtype=np.int64)
+    results = [None] * len(checks)
+    # A listing check keeps each embedding's spectrum, and whether its norm
+    # showed a violation, for the shifts and counts it may list.
+    held = [{} for _ in checks]
     for j in _embeddings(q):
-        values = correlations[j] = _correlation(block, index, q, j, shape)
-        magnitude = np.abs(values)
-        magnitude[0, 0] = abs(values[0, 0] - expected_center)
-        largest = magnitude.max()
-        if largest >= 0.5:
-            if not max_violations:
-                return np.empty(0, dtype=np.intp), np.empty((0, q), dtype=np.int64), True
-            bad = magnitude >= 0.5 if bad is None else bad | (magnitude >= 0.5)
-        elif not largest < 0.5:  # NaN fails the certificate
-            _certify(L1, L2, q, len(pairs), 0.5, largest)
-    if bad is None:
-        return np.empty(0, dtype=np.intp), np.empty((0, q), dtype=np.int64), False
-    # Rolled by (L1 - 1, L2 - 1), entry (u1 mod P1, u2 mod P2) lands at
-    # (u1 + L1 - 1, u2 + L2 - 1): the shifts in row-major order.
-    found = np.flatnonzero(np.roll(bad, (L1 - 1, L2 - 1), axis=(0, 1))[:2 * L1 - 1, :2 * L2 - 1])
-    kept = found[:max_violations]
-    return kept, _counts_at(block, index, q, kept, correlations), len(found) > max_violations
+        open_checks = [k for k, result in enumerate(results) if result is None]
+        if not open_checks:
+            break
+        transforms = _spectra(block, q, j, shape)
+        for k in open_checks:
+            pairs, center, max_violations = checks[k]
+            spectrum = _summed(transforms, indices[k])
+            deviation = _deviation(spectrum, center, shape[1])
+            if math.isnan(deviation):  # NaN decides nothing and fails the certificate
+                _certify(L1, L2, q, len(pairs), 0.5, deviation)
+            violating = deviation > bounds[k]
+            if max_violations:
+                held[k][j] = spectrum, violating
+            elif violating:
+                results[k] = (*nothing, True)
+    for k, (pairs, center, max_violations) in enumerate(checks):
+        if results[k] is not None:
+            continue
+        if not any(violating for _, violating in held[k].values()):
+            results[k] = (*nothing, False)
+            continue
+        correlations, bad = {}, False
+        for j, (spectrum, violating) in held[k].items():
+            values = correlations[j] = _inverse(spectrum, q, j, shape)
+            if violating:
+                magnitude = np.abs(values)
+                magnitude[0, 0] = abs(values[0, 0] - center)
+                bad = bad | (magnitude >= 0.5)
+        # Rolled by (L1 - 1, L2 - 1), entry (u1 mod P1, u2 mod P2) lands at
+        # (u1 + L1 - 1, u2 + L2 - 1): the shifts in row-major order.
+        found = np.flatnonzero(np.roll(bad, (L1 - 1, L2 - 1), axis=(0, 1))[:2 * L1 - 1, :2 * L2 - 1])
+        kept = found[:max_violations]
+        counts = _counts_at(block, indices[k], q, kept, correlations)
+        results[k] = (kept, counts, len(found) > max_violations)
+    return results
 
 
 def _counts_at(block, index, q: int, kept, correlations) -> np.ndarray:
@@ -552,26 +634,34 @@ def _counts_at(block, index, q: int, kept, correlations) -> np.ndarray:
     At a shift, r_j = sum_e n_e xi^(j e) is the summed correlation under
     sigma_j.  For j = 0..q/2: r_0 is the number of pairs times the overlap
     (L1 - |u1|)(L2 - |u2|), an exact integer; a j in correlations reuses
-    the spectral pass's uncentred correlation; every other j is one more
-    _correlation.  The counts are real, so
+    the spectral pass's uncentred correlations at every shift; every other
+    j is one more forward and inverse transform.  The counts are real, so
     n_e = (1/q) sum_(j in Z_q) conj(r_j) xi^(j e) with r_(q-j) = conj(r_j):
-    one length-q irfft of conj(r_0), ..., conj(r_(q/2)) per shift.  They
-    are rounded only under the certificate of _certify: the a-priori bound
-    and the observed distance to the nearest integers must both lie below
-    1/4, and ArithmeticError, naming both, is raised otherwise.  The counts
-    are a fresh C-ordered int64 array.
+    one length-q irfft of conj(r_0), ..., conj(r_(q/2)) per shift.  When
+    kept is every shift, each r_j is gathered as one rolled slice.  The
+    counts are rounded only under the certificate of _certify: the
+    a-priori bound and the observed distance to the nearest integers must
+    both lie below 1/4, and ArithmeticError, naming both, is raised
+    otherwise.  The counts are a fresh C-ordered int64 array.
     """
     L1, L2 = block.shape[1:]
     shape = (_transform_size(L1), _transform_size(L2))
     u1 = kept // (2 * L2 - 1) - (L1 - 1)
     u2 = kept % (2 * L2 - 1) - (L2 - 1)
-    at = (u1 % shape[0], u2 % shape[1])
+    # kept holds distinct shifts in order, so as many as there are shifts is all of them.
+    at = None if len(kept) == (2 * L1 - 1) * (2 * L2 - 1) else (u1 % shape[0], u2 % shape[1])
     # Row j is conj(r_j), the input of the inverse transform.
     spectrum = np.empty((q // 2 + 1, len(kept)), dtype=np.complex128)
     spectrum[0] = len(index) * (L1 - np.abs(u1)) * (L2 - np.abs(u2))
     for j in range(1, q // 2 + 1):
-        values = correlations[j] if j in correlations else _correlation(block, index, q, j, shape)
-        np.conjugate(values[at], out=spectrum[j])
+        values = correlations.get(j)
+        if values is None:
+            values = _inverse(_summed(_spectra(block, q, j, shape), index), q, j, shape)
+        if at is None:
+            rolled = np.roll(values, (L1 - 1, L2 - 1), axis=(0, 1))[:2 * L1 - 1, :2 * L2 - 1]
+            np.conjugate(rolled, out=spectrum[j].reshape(rolled.shape))
+        else:
+            np.conjugate(values[at], out=spectrum[j])
     counts = np.fft.irfft(spectrum, n=q, axis=0)
     rounded = np.rint(counts)
     _certify(L1, L2, q, len(index), _CERTIFIED, float(np.abs(counts - rounded).max()))

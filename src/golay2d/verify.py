@@ -11,12 +11,17 @@ exact sum at the origin, is N*L1*L2 for autocorrelations and one bincount
 of the differences of the paired arrays otherwise.  Every path subtracts
 that centre at the origin and then tests each shift for zero.  A check of
 at most _DIRECT_PAIRS cell pairs does so on the sum of exact count
-tensors, reduced modulo the cyclotomic polynomial.  A larger one takes its
+tensors, reduced modulo the cyclotomic polynomial.  Larger ones take their
 whole answer from the norm-certified spectral pass of
-correlation._spectral_pass, which builds no count tensor: the exact set of
-violating shifts, and the exact counts at the ones it lists.  A check that
-the pass cannot certify raises ArithmeticError.  Either path lists the
-same shifts with the same integer counts, so the same values, bit for bit.
+correlation._spectral_pass, one batch per call, which builds no count
+tensor.  It decides each check from the 2-norm of its spectrum less the
+centre, so a passing check takes no inverse transform, and it inverts only
+to list a failing check's violating shifts, with the exact counts at the
+ones it lists.  is_mate sends its two pair checks and its cross check as
+one batch, so each of its arrays is transformed once per embedding.  A
+check that the pass cannot certify raises ArithmeticError.  Either path
+lists the same shifts with the same integer counts, so the same values,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -69,45 +74,56 @@ class VerificationResult:
     notes: tuple[str, ...] = ()
 
 
-def _check(pairs, expected_center, max_violations):
-    """The one check kernel: the summed correlations of the pairs equal the expected centre.
+def _check(checks):
+    """The one check kernel: for each check, the summed correlations of its pairs equal its expected centre.
 
-    pairs lists (c, d) arrays, c the shifted one as in cross_correlation;
-    (a, a) stands for a's autocorrelation.  A check above _DIRECT_PAIRS
-    takes its whole answer from the spectral pass: the violating shifts,
-    and the exact counts at the first max_violations of them; it raises
-    ArithmeticError when the pass cannot certify them.  A smaller check
-    sums the tables, subtracts the expected centre at the origin from the
-    reduced sum (row 0 of reduction_matrix is e_0) and lists the shifts
-    left nonzero.  Both give the violating shifts in row-major order and
-    the uncentred counts of the kept ones, the same integers, so a listed
-    value is the same float on either path.
+    checks lists (pairs, expected_center, max_violations) of one alphabet
+    and shape, and the result holds one VerificationResult per check, in
+    order.  pairs lists (c, d) arrays, c the shifted one as in
+    cross_correlation; (a, a) stands for a's autocorrelation.  Checks above
+    _DIRECT_PAIRS go to the spectral pass as one batch, which transforms
+    each distinct array once per embedding and decides each check from
+    the 2-norm of its spectrum less the centre; only a check that fails
+    and lists its violations takes inverse transforms, for the exact counts
+    at the first max_violations of them.  It raises ArithmeticError when
+    the pass cannot certify them.  A smaller check sums the tables,
+    subtracts the expected centre at the origin from the reduced sum (row 0
+    of reduction_matrix is e_0) and lists the shifts left nonzero.  Both
+    give the violating shifts in row-major order and the uncentred counts
+    of the kept ones, the same integers, so a listed value is the same
+    float on either path.
     """
-    c = pairs[0][0]
+    c = checks[0][0][0][0]
     q, L1, L2 = c.q, c.L1, c.L2
-    if all(a is b for a, b in pairs):
-        center = CorrelationValue.from_int(len(pairs) * L1 * L2, q)
-    else:
-        diffs = np.stack([a.entries - b.entries for a, b in pairs]) % q
-        center = CorrelationValue(q, np.bincount(diffs.ravel(), minlength=q))
     if (L1 * L2) ** 2 > _DIRECT_PAIRS:
-        kept, counts, truncated = _spectral_pass(pairs, expected_center, max_violations)
+        answers = _spectral_pass(checks)
     else:
-        tables = [
-            auto_correlation_table(a) if a is b else cross_correlation_table(a, b) for a, b in pairs
-        ]
-        total = sum(tables[1:], tables[0])
-        reduced = total.reduced()
-        reduced[L1 - 1, L2 - 1, 0] -= expected_center
-        found = np.flatnonzero(reduced.any(axis=-1))
-        kept, truncated = found[:max_violations], len(found) > max_violations
-        counts = total.counts.reshape(-1, q)[kept]
-    if not len(kept):
-        return VerificationResult(not truncated, (), center, expected_center, truncated)
-    u1 = (kept // (2 * L2 - 1) - (L1 - 1)).tolist()
-    u2 = (kept % (2 * L2 - 1) - (L2 - 1)).tolist()
-    violations = tuple(zip(zip(u1, u2), _complex_values(q, counts).tolist()))
-    return VerificationResult(False, violations, center, expected_center, truncated)
+        answers = []
+        for pairs, expected_center, max_violations in checks:
+            tables = [
+                auto_correlation_table(a) if a is b else cross_correlation_table(a, b) for a, b in pairs
+            ]
+            total = sum(tables[1:], tables[0])
+            reduced = total.reduced()
+            reduced[L1 - 1, L2 - 1, 0] -= expected_center
+            found = np.flatnonzero(reduced.any(axis=-1))
+            kept = found[:max_violations]
+            answers.append((kept, total.counts.reshape(-1, q)[kept], len(found) > max_violations))
+    results = []
+    for (pairs, expected_center, _), (kept, counts, truncated) in zip(checks, answers):
+        if all(a is b for a, b in pairs):
+            center = CorrelationValue.from_int(len(pairs) * L1 * L2, q)
+        else:
+            diffs = np.stack([a.entries - b.entries for a, b in pairs]) % q
+            center = CorrelationValue(q, np.bincount(diffs.ravel(), minlength=q))
+        if not len(kept):
+            results.append(VerificationResult(not truncated, (), center, expected_center, truncated))
+            continue
+        u1 = (kept // (2 * L2 - 1) - (L1 - 1)).tolist()
+        u2 = (kept % (2 * L2 - 1) - (L2 - 1)).tolist()
+        violations = tuple(zip(zip(u1, u2), _complex_values(q, counts).tolist()))
+        results.append(VerificationResult(False, violations, center, expected_center, truncated))
+    return results
 
 
 def is_gcas(arrays, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> VerificationResult:
@@ -115,7 +131,7 @@ def is_gcas(arrays, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Verificatio
     max_violations = _at_least(max_violations, 0, "max_violations")
     arrays = _require_uniform(arrays)
     expected = len(arrays) * arrays[0].L1 * arrays[0].L2
-    return _check([(a, a) for a in arrays], expected, max_violations)
+    return _check([([(a, a) for a in arrays], expected, max_violations)])[0]
 
 
 def is_gcap(c: QaryArray, d: QaryArray, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> VerificationResult:
@@ -148,17 +164,24 @@ def is_mate(pair1, pair2, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Verif
     The cross-correlations of the aligned members must sum to zero for all
     shifts including the origin, so expected_center is 0.  Inputs that fail
     the pair condition themselves are reported in notes and fail the check.
+    The two pair checks, which list nothing, and the mate check run as one
+    batch of the check kernel.
     """
     max_violations = _at_least(max_violations, 0, "max_violations")
     c, d = pair1
     c2, d2 = pair2
     _require_uniform([c, d, c2, d2])
+    expected = 2 * c.L1 * c.L2
+    first, second, result = _check([
+        ([(c, c), (d, d)], expected, 0),
+        ([(c2, c2), (d2, d2)], expected, 0),
+        ([(c, c2), (d, d2)], 0, max_violations),
+    ])
     notes = []
-    if not is_gcap(c, d, max_violations=0).passed:
+    if not first.passed:
         notes.append("first pair fails the complementary-pair condition")
-    if not is_gcap(c2, d2, max_violations=0).passed:
+    if not second.passed:
         notes.append("second pair fails the complementary-pair condition")
-    result = _check([(c, c2), (d, d2)], 0, max_violations)
     return replace(result, passed=result.passed and not notes, notes=tuple(notes))
 
 

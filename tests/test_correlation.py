@@ -347,12 +347,12 @@ def test_spectral_pass_needs_every_embedding():
 
     for q, exponents in ((8, (1, 7, 4)), (12, (1, 11, 6, 6))):
         assert abs(sum(cmath.exp(2j * cmath.pi * e / q) for e in exponents)) < 0.5
-        assert not _spectral_passes(_spectral_pass(pairs(q, exponents), 0, 0))
-        kept, counts, truncated = _spectral_pass(pairs(q, exponents), 0, 1)
+        assert not _spectral_passes(_spectral_pass([(pairs(q, exponents), 0, 0)])[0])
+        kept, counts, truncated = _spectral_pass([(pairs(q, exponents), 0, 1)])[0]
         assert kept.tolist() == [0] and not truncated
         assert counts.tolist() == [np.bincount(exponents, minlength=q).tolist()]
         cancelled = exponents + tuple((e + q // 2) % q for e in exponents)
-        assert _spectral_passes(_spectral_pass(pairs(q, cancelled), 0, 0))
+        assert _spectral_passes(_spectral_pass([(pairs(q, cancelled), 0, 0)])[0])
 
 
 def test_reduction_matrix():

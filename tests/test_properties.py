@@ -278,9 +278,9 @@ def _assert_lists_agree(pairs, expected):
     L1, L2 = pairs[0][0].L1, pairs[0][0].L2
     caps = (1, 3, verify.DEFAULT_MAX_VIOLATIONS, (2 * L1 - 1) * (2 * L2 - 1))
     with _through_the_tensors():
-        references = [verify._check(pairs, expected, cap) for cap in caps]
+        references = [verify._check([(pairs, expected, cap)])[0] for cap in caps]
     for cap, reference in zip(caps, references):
-        assert_same_result(verify._check(pairs, expected, cap), reference)
+        assert_same_result(verify._check([(pairs, expected, cap)])[0], reference)
     return references[0]
 
 
@@ -304,7 +304,7 @@ def test_spectral_pass_agrees_with_the_tensors(case):
     with _through_the_tensors():
         reference = check()
     exact = _assert_lists_agree(pairs, expected).violations == ()
-    kept, _, truncated = _spectral_pass(pairs, expected, 0)
+    kept, _, truncated = _spectral_pass([(pairs, expected, 0)])[0]
     assert (not len(kept) and not truncated) == exact
     result = check()
     assert result == reference

@@ -479,10 +479,10 @@ def test_every_embedding_feeds_the_violation_list(monkeypatch):
         assert (L1 * L2) ** 2 > correlation._DIRECT_PAIRS
         assert abs(sum(cmath.exp(2j * cmath.pi * e / q) for e in exponents)) < 0.5
         every = (2 * L1 - 1) * (2 * L2 - 1)
-        reference = _tensor_reference(monkeypatch, partial(verify._check, pairs, 0, every))
+        reference = _tensor_reference(monkeypatch, lambda: verify._check([(pairs, 0, every)])[0])
         with monkeypatch.context() as patch:
             patch.setattr(correlation, "_count_tensor", _no_tensor)
-            result = verify._check(pairs, 0, every)
+            result = verify._check([(pairs, 0, every)])[0]
         assert (L1 - 1, L2 - 1) in dict(result.violations) and not result.truncated
         assert_same_result(result, reference)
 
@@ -490,8 +490,8 @@ def test_every_embedding_feeds_the_violation_list(monkeypatch):
 def test_nan_correlation_raises(monkeypatch):
     # A NaN is neither below nor at least 1/2, so it decides nothing.
     c, d = construct_gcap_general(random_general_spec(np.random.default_rng(71), q=4, n=4, m=4))
-    correlate = correlation._correlation
-    monkeypatch.setattr(correlation, "_correlation", lambda *args: correlate(*args) * np.nan)
+    spectra = correlation._spectra
+    monkeypatch.setattr(correlation, "_spectra", lambda *args: spectra(*args) * np.nan)
     monkeypatch.setattr(correlation, "_count_tensor", _no_tensor)
     with pytest.raises(ArithmeticError, match=r"16x16 q=4 .* observed distance to integers nan; both must be below 0\.5"):
         is_gcap(c, d)
@@ -533,3 +533,112 @@ def test_small_checks_still_count_tables_in_the_verify_module(monkeypatch):
     monkeypatch.setattr(verify, "auto_correlation_table", lambda a: calls.append(a) or table(a))
     assert (c.L1, c.L2) == (4, 8)
     assert is_gcap(c, d).passed and calls == [c, d]
+
+
+def test_binary_half_spectrum_norms_on_thin_arrays(monkeypatch):
+    # q = 2 takes rfft2, whose half spectrum of a P1 x 1 transform is the
+    # one column that is both first and last: each column must count once
+    # in the norm.  Thin random pairs fail as the tensors say; the 1-D
+    # pair of length 256, as a row and as a column, passes.
+    rng = np.random.default_rng(89)
+    for shape in ((256, 1), (1, 256), (128, 2)):
+        assert (shape[0] * shape[1]) ** 2 > correlation._DIRECT_PAIRS
+        c, d = (QaryArray(2, rng.integers(0, 2, shape)) for _ in range(2))
+        every = (2 * shape[0] - 1) * (2 * shape[1] - 1)
+        for cap in (0, 1, 16, every):
+            reference = _tensor_reference(monkeypatch, partial(is_gcap, c, d, cap))
+            assert not reference.passed
+            with monkeypatch.context() as patch:
+                patch.setattr(correlation, "_count_tensor", _no_tensor)
+                assert_same_result(is_gcap(c, d, cap), reference)
+    row_pair = gdj_pair(2, 8, tuple(int(v) for v in rng.permutation(8) + 1))
+    column_pair = [QaryArray(2, a.entries.T) for a in row_pair]
+    grid_pair = construct_gcap_general(random_general_spec(rng, q=2, n=7, m=1))
+    monkeypatch.setattr(correlation, "_count_tensor", _no_tensor)
+    for pair, shape in ((row_pair, (1, 256)), (column_pair, (256, 1)), (grid_pair, (128, 2))):
+        assert pair[0].entries.shape == shape
+        result = is_gcap(*pair)
+        assert result.passed and not result.violations
+
+
+def _batch_checks(rng, q, shape):
+    """(pairs, expected centre) above the direct size that share arrays: sets and
+    cross sums that fail, one cross sum that cancels, a single array against a
+    wrong centre, and at q = 8 and 12 a cross sum invisible to sigma_1."""
+    a, b, c, d = (QaryArray(q, rng.integers(0, q, shape)) for _ in range(4))
+    negated = QaryArray(q, (a.entries + q // 2) % q)
+    cells = shape[0] * shape[1]
+    checks = [
+        ([(a, a), (b, b)], 2 * cells),
+        ([(a, b), (c, d)], 0),
+        ([(a, b), (negated, b)], 0),
+        ([(c, c)], cells + 1),
+    ]
+    exponents = {8: (1, 7, 4), 12: (1, 11, 6, 6)}.get(q)
+    if exponents:
+        checks.append((_invisible_to_sigma_1(rng, q, exponents, shape), 0))
+    return checks
+
+
+@pytest.mark.parametrize("q", (2, 4, 6, 8, 12))
+def test_a_batch_returns_what_each_check_returns_alone(monkeypatch, q):
+    # Each check of a batch gets its own bound, cap and decision: the same
+    # result as alone and as through the count tensors, field for field.
+    rng = np.random.default_rng(97 + q)
+    for shape in ((12, 11), (5, 27)):
+        checks = _batch_checks(rng, q, shape)
+        every = (2 * shape[0] - 1) * (2 * shape[1] - 1)
+        cap_rows = [(cap,) * len(checks) for cap in (0, 1, 16, every)]
+        cap_rows.append(tuple(rng.choice([0, 1, 16, every], len(checks)).tolist()))
+        for caps in cap_rows:
+            batch = [(pairs, expected, cap) for (pairs, expected), cap in zip(checks, caps)]
+            references = [_tensor_reference(monkeypatch, partial(verify._check, [check]))[0] for check in batch]
+            assert [reference.passed for reference in references][:4] == [False, False, True, False]
+            with monkeypatch.context() as patch:
+                patch.setattr(correlation, "_count_tensor", _no_tensor)
+                results = verify._check(batch)
+                alone = [verify._check([check])[0] for check in batch]
+            for result, single, reference in zip(results, alone, references):
+                assert_same_result(result, single)
+                assert_same_result(result, reference)
+
+
+@pytest.mark.parametrize("q, n, m", [(2, 4, 4), (4, 3, 5), (6, 4, 4), (8, 5, 3), (12, 1, 7)])
+def test_mates_with_failing_pairs_agree_with_the_tensors(monkeypatch, q, n, m):
+    rng = np.random.default_rng(101 + q)
+    spec = random_general_spec(rng, q=q, n=n, m=m)
+    c, d = construct_gcap_general(spec)
+    c2, d2 = construct_mate(spec)
+    bad, bad2 = _corner_mutated(c), _corner_mutated(c2)
+    every = (2 * c.L1 - 1) * (2 * c.L2 - 1)
+    for pair1, pair2 in (((bad, d), (c2, d2)), ((c, d), (bad2, d2)), ((bad, d), (bad2, d2))):
+        for cap in (0, 1, 16, every):
+            reference = _tensor_reference(monkeypatch, partial(is_mate, pair1, pair2, cap))
+            assert reference.notes and not reference.passed
+            with monkeypatch.context() as patch:
+                patch.setattr(correlation, "_count_tensor", _no_tensor)
+                assert_same_result(is_mate(pair1, pair2, cap), reference)
+
+
+def _counting_transforms(monkeypatch):
+    """Record 'forward' or 'inverse' for each call of numpy's FFTs."""
+    calls = []
+    for name in ("fft2", "rfft2", "ifft2", "irfft2", "irfft"):
+        kind = "inverse" if name.startswith("i") else "forward"
+        original = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, original=original, kind=kind, **kwargs:
+                            calls.append(kind) or original(*args, **kwargs))
+    return calls
+
+
+def test_passing_checks_above_the_direct_size_take_no_inverse_transform(monkeypatch):
+    # A passing check is decided from the norms of its spectra alone, and a
+    # mate check transforms its four arrays together once per embedding.
+    checks = _checks_above_the_direct_size(np.random.default_rng(103))
+    calls = _counting_transforms(monkeypatch)
+    for check in checks:
+        calls.clear()
+        assert check().passed
+        assert "inverse" not in calls
+        if check.func is is_mate:
+            assert len(calls) == len(correlation._embeddings(_first_array(check).q))

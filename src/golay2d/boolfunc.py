@@ -294,6 +294,17 @@ def _frozen_phases(q: int, arr: np.ndarray, ndim: int) -> np.ndarray:
     return arr
 
 
+def _checked_block(q: int, block: np.ndarray) -> np.ndarray:
+    """An int64 block of shape (N, L1, L2), range-checked once and made read-only, without copying.
+
+    Its entries are what QaryArray._view wraps: each is a read-only view,
+    so an array wrapped from it keeps the whole block alive while it lives.
+    """
+    if block.dtype != np.int64:
+        raise ValueError(f"block must be int64, got dtype {block.dtype}")
+    return _frozen_phases(q, block, 3)
+
+
 class QaryArray:
     """Immutable L1 x L2 array of phases in Z_q.
 
@@ -311,23 +322,12 @@ class QaryArray:
         self.entries = _frozen_phases(q, _int_array(entries, "entries"), 2)
 
     @classmethod
-    def _stack(cls, q: int, block: np.ndarray) -> list["QaryArray"]:
-        """Wrap each entry of an int64 block of shape (N, L1, L2), without copying.
-
-        The whole block is range-checked once and made read-only; every
-        array returned holds a read-only view of one entry, so each keeps
-        the whole block alive while it lives.
-        """
-        if block.dtype != np.int64:
-            raise ValueError(f"block must be int64, got dtype {block.dtype}")
-        block = _frozen_phases(q, block, 3)
-        out = []
-        for entries in block:
-            arr = object.__new__(cls)
-            arr.q = q
-            arr.entries = entries
-            out.append(arr)
-        return out
+    def _view(cls, q: int, entries: np.ndarray) -> "QaryArray":
+        """Wrap one entry of a _checked_block as it is, without copying or checking it again."""
+        arr = object.__new__(cls)
+        arr.q = q
+        arr.entries = entries
+        return arr
 
     @classmethod
     def from_sequence(cls, q, values) -> "QaryArray":

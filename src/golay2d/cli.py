@@ -189,13 +189,15 @@ def cmd_enumerate(args) -> int:
         print(f"formula: {formula}")
         print(f"enumeration skipped: {raw} raw specs exceed budget {budget}")
         return 0
-    # The report is printed once the stream has run, so a failing run prints none of it.
+    # The report is printed once the stream has run, so a failing run prints none of it,
+    # and a stream that cannot start opens no dump file.
+    stream = enumerate_general_gcaps(args.q, args.n, args.m, budget=budget)
     with open(args.dump, "w", encoding="utf-8") if args.dump else contextlib.nullcontext() as dump:
         # First arrays of one shape, keyed by their bytes: an array has
         # exactly one ANF, so distinct arrays are distinct functions.
         seen = set()
         count = 0
-        for spec, (c, d) in enumerate_general_gcaps(args.q, args.n, args.m, budget=args.budget):
+        for spec, (c, d) in stream:
             count += 1
             seen.add(c.entries.tobytes())
             if dump:

@@ -21,11 +21,16 @@ the specs of one permutation share one table.
 One builder, _offset_block, makes every array as its path array plus a
 Z_q-linear combination of bit planes: a construction's members are the rows
 (q/2) * bits(t) over its start variables, and the exhaustive stream of the
-general pair construction passes the (p, p0) digits of a block of specs, so
-it evaluates no function per spec and takes one product per block: the
-second arrays are the first block plus (q/2) z_pi(1), mod q.  The stream
-validates pi once per permutation, and each (p, p0) row becomes a spec
-without a second check, since its digits lie in 0..q-1 by construction.
+general pair construction passes the (p, p0) digits of a block of specs
+with one path array per row.  A stream block runs across permutations, so
+the stream evaluates no function per spec or per permutation: the paths of
+a block's permutations are one product over the bit planes, its first
+arrays one more, and its second arrays the first plus (q/2) z_pi(1) per
+row, mod q.  Each row becomes a spec from the validated (q, n, m), its
+permutation tuple and its digits, with no check, since a permutation of
+itertools is one and every digit lies in 0..q-1 by construction; its
+arrays are wrapped as views of the range-checked block only as it is
+yielded.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .boolfunc import (
     QaryArray,
     _at_least,
     _bit_planes,
+    _checked_block,
     _int,
     _ints,
     _is_sequence,
@@ -68,6 +74,10 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_BUDGET = 1 << 22
+
+# The most variables, n + m, of an enumerated array: 2^(n+m) cells fill one
+# stream block of _BLOCK_POINTS.  Fixed when the module loads.
+_ENUM_VARIABLES = _BLOCK_POINTS.bit_length() - 1
 
 
 def _check_sizes(q, n, m, what: str, least: int):
@@ -216,20 +226,22 @@ def _path_function(spec, paths) -> GeneralizedBooleanFunction:
     return GeneralizedBooleanFunction._canonical(spec.q, spec.n, spec.m, tuple(terms), spec.p0)
 
 
-def _offset_block(path: QaryArray, variables, coeffs, consts=0) -> np.ndarray:
+def _offset_block(q: int, paths: np.ndarray, variables, coeffs, consts=0) -> np.ndarray:
     """(path + coeffs @ z_variables + consts) mod q for each row of coeffs, as one int64 block.
 
-    variables are 1-indexed and consts is one constant or a column.
+    paths is one L1 x L2 path array or one per row, variables are 1-indexed
+    and consts is one constant or a column.
     """
-    q, (L1, L2) = path.q, path.entries.shape
+    L1, L2 = paths.shape[-2:]
     planes = _bit_planes(L1.bit_length() - 1, L2.bit_length() - 1).reshape(-1, L1 * L2)
     offsets = np.asarray(coeffs) @ planes[[v - 1 for v in variables]]
-    return ((path.entries.reshape(-1) + offsets + consts) % q).reshape(-1, L1, L2)
+    return ((paths.reshape(-1, L1 * L2) + offsets + consts) % q).reshape(-1, L1, L2)
 
 
 def _offset_arrays(path: QaryArray, variables, coeffs, consts=0) -> list[QaryArray]:
-    """The rows of _offset_block as read-only views of one block that QaryArray._stack checks once."""
-    return QaryArray._stack(path.q, _offset_block(path, variables, coeffs, consts))
+    """The rows of _offset_block as read-only views of one block that _checked_block checks once."""
+    block = _offset_block(path.q, path.entries, variables, coeffs, consts)
+    return [QaryArray._view(path.q, entries) for entries in _checked_block(path.q, block)]
 
 
 def _members(f: GeneralizedBooleanFunction, starts):
@@ -315,42 +327,87 @@ def enumerate_general_gcaps(q, n, m, budget: int = DEFAULT_ENUM_BUDGET):
     Iterates pi in lexicographic order, then p, then p0; the raw stream has
     (n+m)! * q^(n+m+1) entries and must fit the budget.  Deduplicating the
     first arrays of the stream reproduces count_general_gcaps(q, n, m).
-
-    The first arrays of one pi come from _offset_block in blocks of at most
-    _BLOCK_POINTS cells, the linear parts p . z + p0 of a block's specs at
-    once, and the second arrays from the same block plus (q/2) z_pi(1).  The
-    yielded arrays are read-only views into their block, so a pair kept
-    after the stream moves on keeps its block alive.
+    Within the budget, n + m may not pass _ENUM_VARIABLES, so that one array
+    fits one stream block, and q^(n+m+1) must lie below 2^63, so that the
+    index of a spec within its permutation, whose digits are p and p0,
+    fits int64; these checks come before anything is allocated.
+    The yielded arrays are read-only views into their stream block
+    (_general_pair_stream), so a pair kept after the stream moves on keeps
+    its block alive.
     """
     q, n, m = _check_sizes(q, n, m, "general pair", 0)
     raw = _raw_spec_count(q, n, m)
     budget = _at_least(budget, 0, "budget")
     if raw > budget:
         raise ValueError(f"enumeration budget exceeded: {raw} specs > budget {budget}")
+    if n + m > _ENUM_VARIABLES:
+        raise ValueError(
+            f"enumeration needs n + m <= {_ENUM_VARIABLES}, got n + m = {n + m}: "
+            f"one array of 2^{n + m} cells exceeds a stream block of {1 << _ENUM_VARIABLES}"
+        )
+    if q ** (n + m + 1) >= 1 << 63:
+        raise ValueError(
+            f"enumeration needs q^(n + m + 1) below 2^63, got q = {q}, n + m = {n + m}: "
+            "the int64 index of a spec within its permutation would overflow"
+        )
     return _general_pair_stream(q, n, m)
 
 
 def _general_pair_stream(q: int, n: int, m: int):
-    variables = range(1, n + m + 1)
-    per_pi = q ** (n + m + 1)
-    step = max(1, _BLOCK_POINTS // (1 << (n + m)))
-    # Digit t of spec index k, most significant first: k in product order
-    # of (p_1, ..., p_{n+m}, p0).
-    powers = q ** np.arange(n + m, -1, -1, dtype=np.int64)
-    for pi in itertools.permutations(variables):
-        base = GcapGeneralSpec(q, n, m, pi)
-        path = general_gcap_function(base).to_array()
-        switch = q // 2 * _bit_planes(n, m)[pi[0] - 1]  # d = c + (q/2) z_pi(1)
-        for start in range(0, per_pi, step):
-            digits = np.arange(start, min(start + step, per_pi))[:, None] // powers % q
-            block = _offset_block(path, variables, digits[:, :-1], digits[:, -1:])
-            firsts = QaryArray._stack(q, block)
-            seconds = QaryArray._stack(q, (block + switch) % q)
-            for row, pair in zip(digits.tolist(), zip(firsts, seconds)):
-                # base validated pi; every digit lies in 0..q-1 by construction.
-                spec = object.__new__(GcapGeneralSpec)
-                spec.__dict__.update(base.__dict__, p=tuple(row[:-1]), p0=row[-1])
-                yield spec, pair
+    """The specs and pairs of enumerate_general_gcaps, a block of specs at a time.
+
+    The specs are numbered pi-major across permutations and cut into blocks
+    of at most _BLOCK_POINTS cells of first arrays (one spec per block when
+    a single array is larger), so a block may end inside one permutation
+    and hold specs of several.  The path arrays of the block's
+    permutations come from one product over the bit planes, q/2 times the
+    sum of z_a z_b over each path's edges, and _offset_block adds the
+    linear parts p . z + p0 of the block's specs to their paths at once.
+    The second arrays are the first plus (q/2) z_pi(1), row by row.  Each
+    block of first and of second arrays is range-checked once, and its rows
+    are wrapped as read-only QaryArray views one pair at a time, as their
+    spec is yielded: a block never has a list of its arrays, nor one list
+    per spec.
+    """
+    size, half = n + m, q // 2
+    planes = _bit_planes(n, m)
+    per_pi = q ** (size + 1)
+    total = factorial(size) * per_pi
+    step = max(1, _BLOCK_POINTS // (1 << size))
+    # Digit t of local spec index k, most significant first: k in product
+    # order of (p_1, ..., p_{n+m}, p0).
+    powers = q ** np.arange(size, -1, -1, dtype=np.int64)
+    permutations = itertools.permutations(range(1, size + 1))
+    new, view = object.__new__, QaryArray._view
+    # The permutations of spec indices from held_from * per_pi on.
+    held, held_from = [], 0
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        first, last = start // per_pi, (stop - 1) // per_pi
+        held, held_from = held[first - held_from:], first
+        held += itertools.islice(permutations, last + 1 - first - len(held))
+        chosen = np.array(held) - 1
+        paths = half * (planes[chosen[:, :-1]] & planes[chosen[:, 1:]]).sum(axis=1)
+        # Row r is spec start + r, of permutation held[which[r]]; its digits
+        # are those of its index within that permutation, below per_pi.
+        spans = [
+            (max(start, f * per_pi) - f * per_pi, min(stop, (f + 1) * per_pi) - f * per_pi)
+            for f in range(first, last + 1)
+        ]
+        which = np.repeat(np.arange(len(spans)), [hi - lo for lo, hi in spans])
+        local = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in spans])
+        digits = local[:, None] // powers % q
+        firsts = _offset_block(q, paths[which], range(1, size + 1), digits[:, :-1], digits[:, -1:])
+        seconds = (firsts + half * planes[chosen[which, 0]]) % q  # d = c + (q/2) z_pi(1)
+        firsts, seconds = _checked_block(q, firsts), _checked_block(q, seconds)
+        # The p tuples are zipped from the n + m digit columns: a list per
+        # row would put thousands of objects at once before the garbage
+        # collector, and its extra passes show in the census tail.
+        p_rows = zip(*digits[:, :-1].T.tolist())
+        for p, p0, k, c, d in zip(p_rows, digits[:, -1].tolist(), which.tolist(), firsts, seconds):
+            spec = new(GcapGeneralSpec)
+            spec.__dict__.update(q=q, n=n, m=m, pi=held[k], p=p, p0=p0)
+            yield spec, (view(q, c), view(q, d))
 
 
 def basic_as_general_spec(spec: GcapBasicSpec) -> GcapGeneralSpec:

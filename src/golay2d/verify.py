@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boolfunc import QaryArray, _at_least, _require_uniform, require_even_q
+from .boolfunc import QaryArray, _at_least, _checked_block, _require_uniform, require_even_q
 from .correlation import (
     _DIRECT_PAIRS,
     CorrelationValue,
@@ -208,7 +208,7 @@ def brute_force_gcaps(q, L1, L2, budget: int = DEFAULT_PAIR_BUDGET):
         )
     powers = q ** np.arange(L1 * L2 - 1, -1, -1, dtype=np.int64)
     digits = (np.arange(n_arrays, dtype=np.int64)[:, None] // powers) % q
-    arrays = QaryArray._stack(q, digits.reshape(n_arrays, L1, L2))
+    arrays = [QaryArray._view(q, e) for e in _checked_block(q, digits.reshape(n_arrays, L1, L2))]
     partners = []
     by_table: dict[bytes, list[int]] = {}
     for index, a in enumerate(arrays):

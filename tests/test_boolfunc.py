@@ -19,7 +19,7 @@ from golay2d import (
     papr_sequence,
     z_role,
 )
-from golay2d.boolfunc import _bit_planes
+from golay2d.boolfunc import _bit_planes, _checked_block
 from golay2d.constructions import general_gcap_function
 
 import golden
@@ -253,19 +253,19 @@ def test_array_owns_a_read_only_copy():
 
 def test_stacked_arrays_are_checked_read_only_views():
     block = np.arange(12, dtype=np.int64).reshape(3, 2, 2) % 4
-    arrays = QaryArray._stack(4, block)
+    arrays = [QaryArray._view(4, entries) for entries in _checked_block(4, block)]
     assert [a.entries.tolist() for a in arrays] == block.tolist()
     assert arrays[1] == QaryArray(4, block[1])
     assert not block.flags.writeable
     assert all(np.shares_memory(a.entries, block) and not a.entries.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="0..3"):
-        QaryArray._stack(4, np.full((2, 1, 1), 4, dtype=np.int64))
+        _checked_block(4, np.full((2, 1, 1), 4, dtype=np.int64))
     with pytest.raises(ValueError, match="int64"):
-        QaryArray._stack(4, np.zeros((2, 1, 1), dtype=np.int32))
+        _checked_block(4, np.zeros((2, 1, 1), dtype=np.int32))
     with pytest.raises(ValueError, match="3-D"):
-        QaryArray._stack(4, np.zeros((2, 2), dtype=np.int64))
+        _checked_block(4, np.zeros((2, 2), dtype=np.int64))
     with pytest.raises(ValueError, match="3-D"):
-        QaryArray._stack(4, np.zeros((0, 2, 2), dtype=np.int64))
+        _checked_block(4, np.zeros((0, 2, 2), dtype=np.int64))
 
 
 _PAIR = QaryArray(2, [[0, 1]])

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from golay2d import QaryArray, construct_gcap_general, construct_mate
-from golay2d import cli, correlation, formats
+from golay2d import QaryArray, construct_gcap_general, construct_mate, count_general_gcaps
+from golay2d import cli, constructions, correlation, formats
 from golay2d.cli import build_parser, main
 from golay2d.constructions import DEFAULT_ENUM_BUDGET
 from golay2d.verify import DEFAULT_MAX_VIOLATIONS, DEFAULT_PAIR_BUDGET
@@ -232,6 +232,26 @@ def test_enumerate_over_budget_skips(capsys):
     assert main(["enumerate", "4", "2", "3", "--budget", "1000"]) == 0
     out = capsys.readouterr().out
     assert "formula: 245760" in out and "enumeration skipped" in out
+
+
+def test_enumerate_past_one_block_exits_2_before_allocating(tmp_path, monkeypatch, capsys):
+    # 2^33 cells per array: within the budget the stream must refuse it
+    # before it allocates anything, here its bit planes.
+    def no_planes(n, m):
+        raise AssertionError("the stream allocated bit planes")
+
+    monkeypatch.setattr(constructions, "_bit_planes", no_planes)
+    dump = tmp_path / "stream.jsonl"
+    argv = ["enumerate", "2", "3", "30", "--budget", str(1 << 200), "--dump", str(dump)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not dump.exists()
+    assert "n + m = 33" in _one_line_error(captured.err)
+    # Over the budget the formula and the skip notice still come first.
+    assert main(["enumerate", "2", "3", "30", "--budget", "1000"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"formula: {count_general_gcaps(2, 3, 30)}"
+    assert out[1].startswith("enumeration skipped:") and len(out) == 2
 
 
 def test_enumerate_negative_sizes_and_budget_exit_2(capsys):

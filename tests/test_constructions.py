@@ -7,7 +7,6 @@ from golay2d import (
     GcapBasicSpec,
     GcapGeneralSpec,
     GcasSpec,
-    QaryArray,
     construct_gcap_basic,
     construct_gcap_general,
     construct_gcas,
@@ -300,13 +299,13 @@ def test_enumeration_entries_are_read_only():
 
 def test_enumeration_blocks_of_one_spec_give_the_same_stream(monkeypatch):
     blocks = []
-    stack = QaryArray._stack.__func__
+    checked_block = constructions._checked_block
 
-    def recording_stack(cls, q, block):
+    def recording_check(q, block):
         blocks.append(block.shape)
-        return stack(cls, q, block)
+        return checked_block(q, block)
 
-    monkeypatch.setattr(QaryArray, "_stack", classmethod(recording_stack))
+    monkeypatch.setattr(constructions, "_checked_block", recording_check)
     default = {
         (q, n, m): list(enumerate_general_gcaps(q, n, m))
         for q, n, m in ((2, 2, 2), (4, 1, 2), (6, 0, 2))
@@ -320,6 +319,26 @@ def test_enumeration_blocks_of_one_spec_give_the_same_stream(monkeypatch):
             blocks.clear()
             assert list(enumerate_general_gcaps(q, n, m)) == stream
             assert all(a * b * c <= max(limit, b * c) for a, b, c in blocks)
+    # 40 specs of 4x4 cells per block, against 32 specs per permutation:
+    # every block but the last holds specs of two permutations, and most
+    # are cut inside one.
+    monkeypatch.setattr(constructions, "_BLOCK_POINTS", 40 * 16)
+    blocks.clear()
+    stream = default[2, 2, 2]
+    assert list(enumerate_general_gcaps(2, 2, 2)) == stream
+    assert blocks == [(40, 4, 4)] * 38 + [(8, 4, 4)] * 2
+    assert all(len({spec.pi for spec, _ in stream[k:k + 40]}) == 2 for k in range(0, 760, 40))
+
+
+def test_enumeration_rejects_digits_past_int64():
+    # 20^15 > 2^63: the digits of spec 1 came out as p_1 = 19 instead of 0.
+    # At q = 18 the powers fit but the index of the last spec of a
+    # permutation, 18^16 - 1, does not.
+    for q in (20, 18):
+        with pytest.raises(ValueError, match=f"q = {q}, n \\+ m = 15"):
+            enumerate_general_gcaps(q, 0, 15, budget=1 << 400)
+    spec, _ = next(itertools.islice(enumerate_general_gcaps(14, 0, 15, budget=1 << 400), 1, None))
+    assert spec.p == (0,) * 15 and spec.p0 == 1
 
 
 def test_negative_sizes_are_rejected_by_name():

@@ -149,9 +149,12 @@ def _bit_planes(n: int, m: int) -> np.ndarray:
     assignment: bit l-1 of the word g | (i << n).  Shape (n+m, 2^n, 2^m).
     The array is read-only and shared by every call with the same (n, m):
     each construction and each block of the enumeration stream needs it.
+    Each plane is broadcast from one column (a row variable) or one row (a
+    column variable) of bits, so no temporary as large as the planes exists.
     """
-    words = np.arange(1 << n)[:, None] | (np.arange(1 << m)[None, :] << n)
-    planes = (words >> np.arange(n + m)[:, None, None]) & 1 == 1
+    planes = np.empty((n + m, 1 << n, 1 << m), dtype=bool)
+    planes[:n] = np.arange(1 << n)[:, None] >> np.arange(n)[:, None, None] & 1
+    planes[n:] = np.arange(1 << m) >> np.arange(m)[:, None, None] & 1
     planes.setflags(write=False)
     return planes
 

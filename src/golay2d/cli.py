@@ -65,12 +65,16 @@ def _default_oversampling() -> int:
 
 
 def _load_spec(path, parse) -> tuple:
-    """The JSON document of a spec file and parse(document); an error names the file once."""
+    """The JSON document of a spec file and parse(document); an error names the file once.
+
+    A parse that builds arrays from the spec and cannot allocate them is
+    such an error too: the spec asked for arrays too large to hold.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         return doc, parse(doc)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -93,8 +97,6 @@ def _emit(text: str, out_path=None):
 
 
 def cmd_gen(args) -> int:
-    spec_dict, parsed = _load_spec(
-        args.spec, lambda doc: formats.parse_construction_spec(args.kind, doc))
     # Built per call, so that names patched on this module are the ones called.
     names, build = {
         "gcap-basic": (("c", "d"), construct_gcap_basic),
@@ -104,7 +106,8 @@ def cmd_gen(args) -> int:
         "gdj": (("a", "b"), construct_gcap_general),
         "gcs1d": (None, construct_gcas),
     }[args.kind]
-    arrays = build(parsed)
+    spec_dict, arrays = _load_spec(
+        args.spec, lambda doc: build(formats.parse_construction_spec(args.kind, doc)))
     outputs = list(zip(names or map(str, range(len(arrays))), arrays))
 
     ext = args.format

@@ -12,25 +12,13 @@ variables x first and the row variables y second (basic_as_general_spec).
 Permutations use 1-indexed one-line notation: pi = (3, 4, 2, 1, 5) means
 pi(1) = 3.
 
-A path function comes from a per-path edge table, cached: for each
-variable l, the q/2 edges whose lower end is l, sorted.  One pass over
-l = 1..n+m emits z_l's linear term and then l's edges, which is already
-the canonical term order, so no spec's function is merged or sorted, and
-the specs of one permutation share one table.
-
-One builder, _offset_block, makes every array as its path array plus a
-Z_q-linear combination of bit planes: a construction's members are the rows
-(q/2) * bits(t) over its start variables, and the exhaustive stream of the
-general pair construction passes the (p, p0) digits of a block of specs
-with one path array per row.  A stream block runs across permutations, so
-the stream evaluates no function per spec or per permutation: the paths of
-a block's permutations are one product over the bit planes, its first
-arrays one more, and its second arrays the first plus (q/2) z_pi(1) per
-row, mod q.  Each row becomes a spec from the validated (q, n, m), its
-permutation tuple and its digits, with no check, since a permutation of
-itertools is one and every digit lies in 0..q-1 by construction; its
-arrays are wrapped as views of the range-checked block only as it is
-yielded.
+No construction evaluates a function.  _path_block makes the path arrays
+from the bit planes, for one set of paths or one path per row, and
+_offset_block adds Z_q-linear combinations of the planes, mod q: p . z + p0
+as one row, then one row (q/2) * bits(t) over the start variables per
+member.  The exhaustive stream (_general_pair_stream) uses both with one
+path per row.  The function API (general_gcap_function, gcas_function)
+writes the same paths as canonical functions from a cached edge table.
 """
 
 from __future__ import annotations
@@ -226,6 +214,20 @@ def _path_function(spec, paths) -> GeneralizedBooleanFunction:
     return GeneralizedBooleanFunction._canonical(spec.q, spec.n, spec.m, tuple(terms), spec.p0)
 
 
+def _path_block(q: int, planes: np.ndarray, paths) -> np.ndarray:
+    """q/2 times the sum of z_a z_b over neighbours a, b on each path, as int64.
+
+    paths holds 1-indexed variables: a tuple of vertex-disjoint paths gives
+    one 2^n x 2^m array, and an (N, n+m) array, one path per row, gives N.
+    """
+    if isinstance(paths, tuple):
+        edges = [edge for path in paths for edge in zip(path, path[1:])]
+        lower, upper = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    else:
+        lower, upper = paths[:, :-1], paths[:, 1:]
+    return q // 2 * (planes[lower - 1] & planes[upper - 1]).sum(axis=-3)
+
+
 def _offset_block(q: int, paths: np.ndarray, variables, coeffs, consts=0) -> np.ndarray:
     """(path + coeffs @ z_variables + consts) mod q for each row of coeffs, as one int64 block.
 
@@ -238,20 +240,17 @@ def _offset_block(q: int, paths: np.ndarray, variables, coeffs, consts=0) -> np.
     return ((paths.reshape(-1, L1 * L2) + offsets + consts) % q).reshape(-1, L1, L2)
 
 
-def _offset_arrays(path: QaryArray, variables, coeffs, consts=0) -> list[QaryArray]:
-    """The rows of _offset_block as read-only views of one block that _checked_block checks once."""
-    block = _offset_block(path.q, path.entries, variables, coeffs, consts)
-    return [QaryArray._view(path.q, entries) for entries in _checked_block(path.q, block)]
+def _members(spec, paths, variables, bits):
+    """spec's path array plus p . z + p0 plus (q/2) * bits @ z_variables, one per row of bits.
 
-
-def _members(f: GeneralizedBooleanFunction, starts):
-    """The arrays f + (q/2) * sum of a subset of the start variables, for every subset.
-
-    Member t switches on starts[alpha] for every bit alpha set in t, so the
-    first start varies fastest.
+    p . z + p0 is one row, since a product over every plane costs each row as
+    much; the block is range-checked once and the members are views of it.
     """
-    bits = np.arange(1 << len(starts))[:, None] >> np.arange(len(starts)) & 1
-    return tuple(_offset_arrays(f.to_array(), starts, f.q // 2 * bits))
+    q = spec.q
+    path = _path_block(q, _bit_planes(spec.n, spec.m), paths)
+    base = _offset_block(q, path, range(1, len(spec.p) + 1), [spec.p], spec.p0)
+    block = _checked_block(q, _offset_block(q, base, variables, q // 2 * np.asarray(bits)))
+    return tuple(QaryArray._view(q, entries) for entries in block)
 
 
 def gdj_pair(q, m, pi, p=None, p0=0):
@@ -276,7 +275,7 @@ def general_gcap_function(spec: GcapGeneralSpec) -> GeneralizedBooleanFunction:
 
 def construct_gcap_general(spec: GcapGeneralSpec):
     """Complementary 2^n x 2^m array pair (f, f + (q/2) z_{pi(1)})."""
-    return _members(general_gcap_function(spec), spec.pi[:1])
+    return _members(spec, (spec.pi,), spec.pi[:1], [[0], [1]])
 
 
 def construct_mate(spec: GcapGeneralSpec):
@@ -286,9 +285,7 @@ def construct_mate(spec: GcapGeneralSpec):
     the returned pair is itself complementary and is a mate of
     construct_gcap_general(spec).
     """
-    half = spec.q // 2
-    path = general_gcap_function(spec).to_array()
-    return tuple(_offset_arrays(path, (spec.pi[0], spec.pi[-1]), [[0, half], [half, half]]))
+    return _members(spec, (spec.pi,), (spec.pi[0], spec.pi[-1]), [[0, 1], [1, 1]])
 
 
 def gcas_function(spec: GcasSpec) -> GeneralizedBooleanFunction:
@@ -302,7 +299,8 @@ def construct_gcas(spec: GcasSpec):
     Members are ordered with the selector of blocks[0] varying fastest, so
     index t applies the offsets of every block alpha with bit alpha of t set.
     """
-    return _members(gcas_function(spec), [block[0] for block in spec.blocks])
+    bits = np.arange(1 << spec.k)[:, None] >> np.arange(spec.k) & 1
+    return _members(spec, spec.blocks, [block[0] for block in spec.blocks], bits)
 
 
 def _raw_spec_count(q, n, m) -> int:
@@ -359,15 +357,16 @@ def _general_pair_stream(q: int, n: int, m: int):
     The specs are numbered pi-major across permutations and cut into blocks
     of at most _BLOCK_POINTS cells of first arrays (one spec per block when
     a single array is larger), so a block may end inside one permutation
-    and hold specs of several.  The path arrays of the block's
-    permutations come from one product over the bit planes, q/2 times the
-    sum of z_a z_b over each path's edges, and _offset_block adds the
-    linear parts p . z + p0 of the block's specs to their paths at once.
+    and hold specs of several.  _path_block makes the path arrays of the
+    block's permutations, one per row, and _offset_block adds the linear
+    parts p . z + p0 of the block's specs to their paths at once.
     The second arrays are the first plus (q/2) z_pi(1), row by row.  Each
     block of first and of second arrays is range-checked once, and its rows
     are wrapped as read-only QaryArray views one pair at a time, as their
     spec is yielded: a block never has a list of its arrays, nor one list
-    per spec.
+    per spec.  Each spec is built from the validated (q, n, m), its
+    permutation tuple and its digits with no check, since a permutation of
+    itertools is one and every digit lies in 0..q-1 by construction.
     """
     size, half = n + m, q // 2
     planes = _bit_planes(n, m)
@@ -386,8 +385,8 @@ def _general_pair_stream(q: int, n: int, m: int):
         first, last = start // per_pi, (stop - 1) // per_pi
         held, held_from = held[first - held_from:], first
         held += itertools.islice(permutations, last + 1 - first - len(held))
-        chosen = np.array(held) - 1
-        paths = half * (planes[chosen[:, :-1]] & planes[chosen[:, 1:]]).sum(axis=1)
+        chosen = np.array(held)
+        paths = _path_block(q, planes, chosen)
         # Row r is spec start + r, of permutation held[which[r]]; its digits
         # are those of its index within that permutation, below per_pi.
         spans = [
@@ -398,7 +397,7 @@ def _general_pair_stream(q: int, n: int, m: int):
         local = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in spans])
         digits = local[:, None] // powers % q
         firsts = _offset_block(q, paths[which], range(1, size + 1), digits[:, :-1], digits[:, -1:])
-        seconds = (firsts + half * planes[chosen[which, 0]]) % q  # d = c + (q/2) z_pi(1)
+        seconds = (firsts + half * planes[chosen[which, 0] - 1]) % q  # d = c + (q/2) z_pi(1)
         firsts, seconds = _checked_block(q, firsts), _checked_block(q, seconds)
         # The p tuples are zipped from the n + m digit columns: a list per
         # row would put thousands of objects at once before the garbage

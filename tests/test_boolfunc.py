@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,19 @@ def test_bit_planes_follow_evaluate():
             for g in range(1 << n):
                 for i in range(1 << m):
                     assert planes[l - 1, g, i] == z.evaluate(g, i)
+
+
+def test_bit_planes_allocate_no_temporary_as_large_as_themselves():
+    # The planes are filled one variable at a time: a temporary of one int64
+    # per plane cell would be 8 times the boolean result.
+    tracemalloc.start()
+    try:
+        planes = _bit_planes.__wrapped__(9, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * planes.nbytes
+    assert np.array_equal(planes, _bit_planes(9, 9))
 
 
 def test_array_owns_a_read_only_copy():

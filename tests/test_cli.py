@@ -366,6 +366,22 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
         assert _one_line_error(captured.err) == f"error: {message}"
 
 
+def test_gen_out_of_memory_names_the_spec(tmp_path, monkeypatch, capsys):
+    # A spec too large to build names its file, as any other bad spec does;
+    # the bit planes raise here without a real allocation.
+    message = "Unable to allocate 56.0 GiB for an array with shape (28, 16384, 16384)"
+
+    def out_of_memory(n, m):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(constructions, "_bit_planes", out_of_memory)
+    spec = write_spec(tmp_path, "spec.json", GENERAL_DOC)
+    assert main(["gen", "gcap-general", "--spec", spec, "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not list(tmp_path.glob("x_*"))
+    assert _one_line_error(captured.err) == f"error: {spec}: {message}"
+
+
 def test_uncertified_check_and_table_exit_2(tmp_path, monkeypatch, capsys):
     # Without a certified error bound neither a check above 128 cells nor
     # a table of one is decided: each exits 2 naming the shape and q.

@@ -7,6 +7,7 @@ from golay2d import (
     GcapBasicSpec,
     GcapGeneralSpec,
     GcasSpec,
+    GeneralizedBooleanFunction,
     construct_gcap_basic,
     construct_gcap_general,
     construct_gcas,
@@ -231,6 +232,21 @@ def test_gcas_validation():
     # numpy integers and arrays pass as their Python values.
     spec = GcasSpec(np.int64(2), np.int8(2), 3, [np.array([4, 2, 5]), (1, 3)], np.zeros(5, int), np.int32(0))
     assert spec == golden.gcas_q2_spec() and type(spec.blocks[0][0]) is int
+
+
+def test_no_construction_evaluates_a_function(monkeypatch):
+    def evaluated(self):
+        raise AssertionError("a construction evaluated a function")
+
+    monkeypatch.setattr(GeneralizedBooleanFunction, "to_array", evaluated)
+    general = GcapGeneralSpec(4, 1, 2, (2, 3, 1), (1, 0, 3), 2)
+    construct_gcap_general(general)
+    construct_mate(general)
+    construct_gcap_basic(GcapBasicSpec(2, 1, 2, (2, 1), (1,), (1, 0), (1,), 1))
+    construct_gcas(GcasSpec(2, 1, 2, ((2,), (3, 1))))
+    gdj_pair(2, 3, (3, 1, 2))
+    gcs_1d(4, 3, ((1, 3), (2,)))
+    assert sum(1 for _ in enumerate_general_gcaps(2, 1, 1)) == 16
 
 
 def test_count_formula():

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from golay2d import (
@@ -94,6 +94,12 @@ def test_streamed_path_functions_are_built_canonical(q, n, m):
 
 @settings(derandomize=True, deadline=None, database=None)
 @given(pair_and_set_specs())
+# Blocks that are all singletons: a set with no edge at all.
+@example((GcapGeneralSpec(4, 1, 2, (2, 1, 3), (1, 2, 3), 5),
+          GcasSpec(4, 1, 2, ((2,), (1,), (3,)), (1, 2, 3), 5)))
+# n = 0: a 1-D pair and set.
+@example((GcapGeneralSpec(2, 0, 3, (3, 1, 2), (1, 0, 1), 1),
+          GcasSpec(2, 0, 3, ((3, 1), (2,)), (1, 0, 1), 1)))
 def test_members_are_the_arrays_of_their_functions(specs):
     # Each member array, built from the path array and bit planes, is the
     # array of f plus (q/2) on its subset of start variables (and, for the

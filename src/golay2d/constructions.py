@@ -12,12 +12,16 @@ variables x first and the row variables y second (basic_as_general_spec).
 Permutations use 1-indexed one-line notation: pi = (3, 4, 2, 1, 5) means
 pi(1) = 3.
 
-No construction evaluates a function.  _path_block makes the path arrays
-from the bit planes, for one set of paths or one path per row, and
-_offset_block adds Z_q-linear combinations of the planes, mod q: p . z + p0
-as one row, then one row (q/2) * bits(t) over the start variables per
-member.  The exhaustive stream (_general_pair_stream) uses both with one
-path per row.  The function API (general_gcap_function, gcas_function)
+No construction evaluates a function.  Two builders make every array from
+the bit planes of z_1..z_{n+m}.  _path_block makes the path arrays, for one
+set of paths or one path per row.  _member_block takes a block of specs,
+each path array with each (p, p0) row, and returns the members of every
+spec as one range-checked block: (path + p . z + p0 + (q/2) * bits . z_S)
+mod q, one row of bits over the start variables S per member.  A
+construction calls it once for its one spec (_members), which first
+refuses more than _CONSTRUCTION_CELLS cells of members, and the exhaustive
+stream (_general_pair_stream) once per block of pairs, with bits 0 and 1
+on z_pi(1).  The function API (general_gcap_function, gcas_function)
 writes the same paths as canonical functions from a cached edge table.
 """
 
@@ -63,9 +67,17 @@ __all__ = [
 
 DEFAULT_ENUM_BUDGET = 1 << 22
 
-# The most variables, n + m, of an enumerated array: 2^(n+m) cells fill one
-# stream block of _BLOCK_POINTS.  Fixed when the module loads.
+# The most variables, n + m, of an enumerated array: its 2^(n+m) cells fill
+# _BLOCK_POINTS, and a stream block, which holds pairs, holds one.  Fixed
+# when the module loads.
 _ENUM_VARIABLES = _BLOCK_POINTS.bit_length() - 1
+
+# The most cells, members times 2^(n+m), of one construction; a larger one
+# is refused before its bit planes are made.  Peak memory (tracemalloc) was
+# 71-94 bytes a cell for a pair or mate at n + m = 14-19, rising with
+# n + m, and 26 for a 16-member set, so a build at the limit peaks near
+# 0.4 GiB.
+_CONSTRUCTION_CELLS = 1 << 22
 
 
 def _check_sizes(q, n, m, what: str, least: int):
@@ -228,28 +240,37 @@ def _path_block(q: int, planes: np.ndarray, paths) -> np.ndarray:
     return q // 2 * (planes[lower - 1] & planes[upper - 1]).sum(axis=-3)
 
 
-def _offset_block(q: int, paths: np.ndarray, variables, coeffs, consts=0) -> np.ndarray:
-    """(path + coeffs @ z_variables + consts) mod q for each row of coeffs, as one int64 block.
+def _member_block(q: int, planes: np.ndarray, paths: np.ndarray, starts, rows, bits) -> np.ndarray:
+    """The members of a block of specs as one int64 block, range-checked once.
 
-    paths is one L1 x L2 path array or one per row, variables are 1-indexed
-    and consts is one constant or a column.
+    The specs are every path array g of paths, (G, L1, L2) from _path_block,
+    with every row r of rows, (p_1, ..., p_{n+m}, p0), numbered g * K + r
+    for K rows; starts holds each path array's 1-indexed start variables,
+    (G, k).  Member j of spec (g, r), one per row of bits (M by k), is
+    entry (g * K + r) * M + j: (paths[g] + p . z + p0 + (q/2) * bits[j] .
+    z_starts[g]) mod q.
     """
-    L1, L2 = paths.shape[-2:]
-    planes = _bit_planes(L1.bit_length() - 1, L2.bit_length() - 1).reshape(-1, L1 * L2)
-    offsets = np.asarray(coeffs) @ planes[[v - 1 for v in variables]]
-    return ((paths.reshape(-1, L1 * L2) + offsets + consts) % q).reshape(-1, L1, L2)
+    G, L1, L2 = paths.shape
+    planes = planes.reshape(len(planes), L1 * L2)
+    linear = rows[:, :-1] @ planes + rows[:, -1:]
+    offsets = q // 2 * (bits @ planes[starts - 1])
+    block = (paths.reshape(G, 1, 1, -1) + linear[:, None] + offsets[:, None]) % q
+    return _checked_block(q, block.reshape(-1, L1, L2))
 
 
-def _members(spec, paths, variables, bits):
-    """spec's path array plus p . z + p0 plus (q/2) * bits @ z_variables, one per row of bits.
+def _members(spec, paths, starts, bits):
+    """spec's members, one per row of bits over its start variables: read-only views of one block.
 
-    p . z + p0 is one row, since a product over every plane costs each row as
-    much; the block is range-checked once and the members are views of it.
+    A construction of more than _CONSTRUCTION_CELLS cells is refused before
+    anything is allocated.
     """
-    q = spec.q
-    path = _path_block(q, _bit_planes(spec.n, spec.m), paths)
-    base = _offset_block(q, path, range(1, len(spec.p) + 1), [spec.p], spec.p0)
-    block = _checked_block(q, _offset_block(q, base, variables, q // 2 * np.asarray(bits)))
+    q, n, m = spec.q, spec.n, spec.m
+    if (cells := len(bits) << (n + m)) > _CONSTRUCTION_CELLS:
+        raise ValueError(f"construction too large: {len(bits)} arrays of 2^{n + m} cells are "
+                         f"{cells} cells, over the limit of {_CONSTRUCTION_CELLS}")
+    planes = _bit_planes(n, m)
+    rows = np.array([spec.p + (spec.p0,)])
+    block = _member_block(q, planes, _path_block(q, planes, paths)[None], np.array([starts]), rows, bits)
     return tuple(QaryArray._view(q, entries) for entries in block)
 
 
@@ -326,9 +347,10 @@ def enumerate_general_gcaps(q, n, m, budget: int = DEFAULT_ENUM_BUDGET):
     (n+m)! * q^(n+m+1) entries and must fit the budget.  Deduplicating the
     first arrays of the stream reproduces count_general_gcaps(q, n, m).
     Within the budget, n + m may not pass _ENUM_VARIABLES, so that one array
-    fits one stream block, and q^(n+m+1) must lie below 2^63, so that the
-    index of a spec within its permutation, whose digits are p and p0,
-    fits int64; these checks come before anything is allocated.
+    fits in _BLOCK_POINTS cells and a stream block of pairs in twice that,
+    and q^(n+m+1) must lie below 2^63, so that the index of a spec within
+    its permutation, whose digits are p and p0, fits int64; these checks
+    come before anything is allocated.
     The yielded arrays are read-only views into their stream block
     (_general_pair_stream), so a pair kept after the stream moves on keeps
     its block alive.
@@ -352,61 +374,47 @@ def enumerate_general_gcaps(q, n, m, budget: int = DEFAULT_ENUM_BUDGET):
 
 
 def _general_pair_stream(q: int, n: int, m: int):
-    """The specs and pairs of enumerate_general_gcaps, a block of specs at a time.
+    """The specs and pairs of enumerate_general_gcaps, a block of pairs at a time.
 
-    The specs are numbered pi-major across permutations and cut into blocks
-    of at most _BLOCK_POINTS cells of first arrays (one spec per block when
-    a single array is larger), so a block may end inside one permutation
-    and hold specs of several.  _path_block makes the path arrays of the
-    block's permutations, one per row, and _offset_block adds the linear
-    parts p . z + p0 of the block's specs to their paths at once.
-    The second arrays are the first plus (q/2) z_pi(1), row by row.  Each
-    block of first and of second arrays is range-checked once, and its rows
-    are wrapped as read-only QaryArray views one pair at a time, as their
-    spec is yielded: a block never has a list of its arrays, nor one list
-    per spec.  Each spec is built from the validated (q, n, m), its
-    permutation tuple and its digits with no check, since a permutation of
-    itertools is one and every digit lies in 0..q-1 by construction.
+    A block holds the pairs of as many whole permutations as fit in
+    _BLOCK_POINTS cells or, when one permutation's pairs do not fit, one
+    part of one permutation, at least one pair.  _path_block makes the path
+    arrays of a group of permutations once, and _member_block builds the
+    pairs of every (permutation, (p, p0) row) of a block as its two
+    members, bits 0 and 1 on z_pi(1), range-checked once.  The rows are
+    wrapped as read-only QaryArray views one pair at a time, as their spec
+    is yielded: a block never has a list of its arrays, nor one list per
+    spec.  Each spec is built from the validated (q, n, m), its permutation
+    tuple and its digits with no check, since a permutation of itertools
+    is one and every digit lies in 0..q-1 by construction.
     """
-    size, half = n + m, q // 2
+    size = n + m
     planes = _bit_planes(n, m)
     per_pi = q ** (size + 1)
-    total = factorial(size) * per_pi
-    step = max(1, _BLOCK_POINTS // (1 << size))
-    # Digit t of local spec index k, most significant first: k in product
-    # order of (p_1, ..., p_{n+m}, p0).
+    pairs = max(1, _BLOCK_POINTS // (2 << size))
+    group, part = max(1, pairs // per_pi), min(pairs, per_pi)
+    # Digit t of spec index k within its permutation, most significant
+    # first: k in product order of (p_1, ..., p_{n+m}, p0).
     powers = q ** np.arange(size, -1, -1, dtype=np.int64)
     permutations = itertools.permutations(range(1, size + 1))
     new, view = object.__new__, QaryArray._view
-    # The permutations of spec indices from held_from * per_pi on.
-    held, held_from = [], 0
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        first, last = start // per_pi, (stop - 1) // per_pi
-        held, held_from = held[first - held_from:], first
-        held += itertools.islice(permutations, last + 1 - first - len(held))
-        chosen = np.array(held)
-        paths = _path_block(q, planes, chosen)
-        # Row r is spec start + r, of permutation held[which[r]]; its digits
-        # are those of its index within that permutation, below per_pi.
-        spans = [
-            (max(start, f * per_pi) - f * per_pi, min(stop, (f + 1) * per_pi) - f * per_pi)
-            for f in range(first, last + 1)
-        ]
-        which = np.repeat(np.arange(len(spans)), [hi - lo for lo, hi in spans])
-        local = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in spans])
-        digits = local[:, None] // powers % q
-        firsts = _offset_block(q, paths[which], range(1, size + 1), digits[:, :-1], digits[:, -1:])
-        seconds = (firsts + half * planes[chosen[which, 0] - 1]) % q  # d = c + (q/2) z_pi(1)
-        firsts, seconds = _checked_block(q, firsts), _checked_block(q, seconds)
-        # The p tuples are zipped from the n + m digit columns: a list per
-        # row would put thousands of objects at once before the garbage
-        # collector, and its extra passes show in the census tail.
-        p_rows = zip(*digits[:, :-1].T.tolist())
-        for p, p0, k, c, d in zip(p_rows, digits[:, -1].tolist(), which.tolist(), firsts, seconds):
-            spec = new(GcapGeneralSpec)
-            spec.__dict__.update(q=q, n=n, m=m, pi=held[k], p=p, p0=p0)
-            yield spec, (view(q, c), view(q, d))
+    while chosen := list(itertools.islice(permutations, group)):
+        pis = np.array(chosen)
+        paths = _path_block(q, planes, pis)
+        for start in range(0, per_pi, part):
+            digits = np.arange(start, min(start + part, per_pi), dtype=np.int64)[:, None] // powers % q
+            members = iter(_member_block(q, planes, paths, pis[:, :1], digits, [[0], [1]]))
+            # The p tuples are zipped from the n + m digit columns, per
+            # permutation: a list per row would put thousands of objects
+            # at once before the garbage collector, and its extra passes
+            # show in the census tail.  The digits come first in each zip,
+            # so a permutation's zip stops before it takes a pair of the next.
+            p_cols, p0s = digits[:, :-1].T.tolist(), digits[:, -1].tolist()
+            for pi in chosen:
+                for p, p0, c, d in zip(zip(*p_cols), p0s, members, members):
+                    spec = new(GcapGeneralSpec)
+                    spec.__dict__.update(q=q, n=n, m=m, pi=pi, p=p, p0=p0)
+                    yield spec, (view(q, c), view(q, d))
 
 
 def basic_as_general_spec(spec: GcapBasicSpec) -> GcapGeneralSpec:

@@ -382,6 +382,25 @@ def test_gen_out_of_memory_names_the_spec(tmp_path, monkeypatch, capsys):
     assert _one_line_error(captured.err) == f"error: {spec}: {message}"
 
 
+def test_gen_oversized_construction_exits_2(tmp_path, monkeypatch, capsys):
+    # Refused by its cell count before the bit planes, which raise here.
+    def no_planes(n, m):
+        raise AssertionError("gen made bit planes")
+
+    monkeypatch.setattr(constructions, "_bit_planes", no_planes)
+    for kind, doc in (
+        ("gcap-general", {"q": 2, "n": 11, "m": 11, "pi": list(range(1, 23))}),
+        ("gcas", {"q": 4, "n": 0, "m": 12, "blocks": [[v] for v in range(1, 13)]}),
+    ):
+        spec = write_spec(tmp_path, "spec.json", doc)
+        assert main(["gen", kind, "--spec", spec, "--out", str(tmp_path / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not list(tmp_path.glob("x_*"))
+        message = _one_line_error(captured.err)
+        assert message.startswith(f"error: {spec}: construction too large: ")
+        assert message.endswith("cells, over the limit of 4194304")
+
+
 def test_uncertified_check_and_table_exit_2(tmp_path, monkeypatch, capsys):
     # Without a certified error bound neither a check above 128 cells nor
     # a table of one is decided: each exits 2 naming the shape and q.

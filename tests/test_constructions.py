@@ -249,6 +249,35 @@ def test_no_construction_evaluates_a_function(monkeypatch):
     assert sum(1 for _ in enumerate_general_gcaps(2, 1, 1)) == 16
 
 
+def test_oversized_constructions_are_refused_before_allocating(monkeypatch):
+    # Past 2^22 cells of members a construction is refused before it makes
+    # its bit planes, which raise here instead of allocating.
+    def no_planes(n, m):
+        raise AssertionError(f"bit planes of n = {n}, m = {m} were made")
+
+    monkeypatch.setattr(constructions, "_bit_planes", no_planes)
+    general = GcapGeneralSpec(2, 11, 11, range(1, 23))
+    quarters = [range(k, 21, 4) for k in range(1, 5)]
+    for build, members, size in (
+        (lambda: construct_gcap_general(general), 2, 22),
+        (lambda: construct_mate(general), 2, 22),
+        (lambda: construct_gcap_basic(GcapBasicSpec(2, 11, 11, range(1, 12), range(1, 12))), 2, 22),
+        (lambda: gdj_pair(4, 22, range(1, 23)), 2, 22),
+        (lambda: construct_gcas(GcasSpec(2, 10, 10, quarters)), 16, 20),
+        (lambda: gcs_1d(2, 12, [[v] for v in range(1, 13)]), 4096, 12),
+    ):
+        message = f"{members} arrays of 2\\^{size} cells are {members << size} cells, over the limit of 4194304"
+        with pytest.raises(ValueError, match=message):
+            build()
+    # At the limit the construction goes on to its bit planes.
+    for build in (
+        lambda: construct_gcap_general(GcapGeneralSpec(2, 10, 11, range(1, 22))),
+        lambda: gcs_1d(2, 11, [[v] for v in range(1, 12)]),
+    ):
+        with pytest.raises(AssertionError, match="bit planes"):
+            build()
+
+
 def test_count_formula():
     assert count_general_gcaps(2, 1, 1) == 8
     assert count_general_gcaps(2, 1, 2) == 48
@@ -313,37 +342,74 @@ def test_enumeration_entries_are_read_only():
                 arr.entries[0, 0] = 1
 
 
+def _recording(monkeypatch, name):
+    """Patch constructions.<name> to record its calls' arguments and results; return the list."""
+    calls, original = [], getattr(constructions, name)
+
+    def record(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(constructions, name, record)
+    return calls
+
+
 def test_enumeration_blocks_of_one_spec_give_the_same_stream(monkeypatch):
-    blocks = []
-    checked_block = constructions._checked_block
-
-    def recording_check(q, block):
-        blocks.append(block.shape)
-        return checked_block(q, block)
-
-    monkeypatch.setattr(constructions, "_checked_block", recording_check)
     default = {
         (q, n, m): list(enumerate_general_gcaps(q, n, m))
         for q, n, m in ((2, 2, 2), (4, 1, 2), (6, 0, 2))
     }
-    assert blocks and all(a * b * c <= constructions._BLOCK_POINTS for a, b, c in blocks)
-    # 100 cells split each permutation's specs into uneven blocks; 1 cell
-    # leaves one spec per block.
-    for limit in (100, 1):
+    checked = _recording(monkeypatch, "_checked_block")
+    paths = _recording(monkeypatch, "_path_block")
+    # At q = 2, n = m = 2 (32 specs a permutation, 32 cells a pair): the
+    # shapes of the checked blocks and the permutations of each _path_block
+    # call.  3 permutations' pairs fit 3072 cells; 12 pairs split each
+    # permutation into blocks of 12, 12 and 8; 1 cell leaves one pair per
+    # block, and every part of a permutation shares its one path array.
+    layouts = {
+        3 * 32 * 32: ([(192, 4, 4)] * 8, [3] * 8),
+        12 * 32: ([(24, 4, 4), (24, 4, 4), (16, 4, 4)] * 24, [1] * 24),
+        1: ([(2, 4, 4)] * 768, [1] * 24),
+    }
+    for limit in (*layouts, 100, constructions._BLOCK_POINTS):
         monkeypatch.setattr(constructions, "_BLOCK_POINTS", limit)
         for (q, n, m), stream in default.items():
-            blocks.clear()
+            checked.clear()
+            paths.clear()
             assert list(enumerate_general_gcaps(q, n, m)) == stream
-            assert all(a * b * c <= max(limit, b * c) for a, b, c in blocks)
-    # 40 specs of 4x4 cells per block, against 32 specs per permutation:
-    # every block but the last holds specs of two permutations, and most
-    # are cut inside one.
-    monkeypatch.setattr(constructions, "_BLOCK_POINTS", 40 * 16)
-    blocks.clear()
-    stream = default[2, 2, 2]
-    assert list(enumerate_general_gcaps(2, 2, 2)) == stream
-    assert blocks == [(40, 4, 4)] * 38 + [(8, 4, 4)] * 2
-    assert all(len({spec.pi for spec, _ in stream[k:k + 40]}) == 2 for k in range(0, 760, 40))
+            blocks = [block.shape for (_, block), _ in checked]
+            assert all(a * b * c <= max(limit, 2 * b * c) for a, b, c in blocks)
+            if (q, n, m) == (2, 2, 2) and limit in layouts:
+                assert (blocks, [len(args[2]) for args, _ in paths]) == layouts[limit]
+            for spec, pair in stream:
+                assert pair == construct_gcap_general(spec), (limit, spec)
+
+
+def test_each_construction_and_stream_block_is_checked_once(monkeypatch):
+    checked = _recording(monkeypatch, "_checked_block")
+    built = _recording(monkeypatch, "_member_block")
+    general = GcapGeneralSpec(4, 1, 2, (2, 3, 1), (1, 0, 3), 2)
+    for build in (
+        lambda: construct_gcap_general(general),
+        lambda: construct_mate(general),
+        lambda: construct_gcap_basic(GcapBasicSpec(2, 1, 2, (2, 1), (1,), (1, 0), (1,), 1)),
+        lambda: construct_gcas(GcasSpec(2, 1, 2, ((2,), (3, 1)))),
+        lambda: gdj_pair(2, 3, (3, 1, 2)),
+        lambda: gcs_1d(4, 3, ((1, 3), (2,))),
+    ):
+        checked.clear()
+        built.clear()
+        arrays = build()
+        assert len(checked) == len(built) == 1
+        assert all(np.shares_memory(arr.entries, checked[0][1]) for arr in arrays)
+    # 24 cells hold 3 pairs of q = 2, n = m = 1, against 8 specs a
+    # permutation: blocks of 3, 3 and 2 specs for each of 2 permutations.
+    monkeypatch.setattr(constructions, "_BLOCK_POINTS", 3 * 8)
+    checked.clear()
+    built.clear()
+    assert sum(1 for _ in enumerate_general_gcaps(2, 1, 1)) == 16
+    assert len(checked) == len(built) == 6
 
 
 def test_enumeration_rejects_digits_past_int64():

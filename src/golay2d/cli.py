@@ -220,7 +220,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_search(args) -> int:
     pairs = brute_force_gcaps(args.q, args.L1, args.L2, budget=args.budget)
-    print(f"complementary pairs found: {len(pairs)}")
+    # The file is written before the report, so a run that cannot write it prints none of it.
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             for c, d in pairs:
@@ -228,6 +228,8 @@ def cmd_search(args) -> int:
                     "c": formats.array_to_json_dict(c)["entries"],
                     "d": formats.array_to_json_dict(d)["entries"],
                 }) + "\n")
+    print(f"complementary pairs found: {len(pairs)}")
+    if args.out:
         print(f"wrote {args.out}")
     return 0
 

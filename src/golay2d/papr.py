@@ -9,15 +9,19 @@ maximum far below the 1e-3 tolerances used by the numeric tests.
 
 One kernel measures a whole matrix of sequences.  The best of the R*L
 samples is found without taking all of them: a zero-padded inverse FFT
-samples a subgrid of 16 points per 1/L on blocks of rows of bounded size,
-and a curvature bound on |S|^2 names the few windows of the full grid that
-can hold the best sample, which are then evaluated directly.  The
-refinement runs in lockstep for all rows: each step evaluates S, S' and S''
-of every row by their definition, as one block of exponentials and one
-product.  The Newton search on the derivative of |S|^2 settles the
-rows of the constructions in at most three steps at the default R = 256
-and in at most six at R = 4 or 5; a peak that lies on the grid ends it at
-the first step.
+samples a subgrid of 16 points per 1/L, and a curvature bound on |S|^2
+names the few windows of the full grid that can hold the best sample,
+which are then evaluated directly.  This grid stage takes every row of a
+call at once, so each block of the window is built once per call.  Every
+temporary stays within _BLOCK_POINTS = 2^15 entries; only the list of
+candidate windows grows with the number of rows, by about three a row
+(five to six at q = 2, whose envelopes come in mirror pairs of peaks).
+The refinement runs in lockstep for all rows: each step evaluates S, S'
+and S'' of every row by their definition, as one block of exponentials
+and one product.  The Newton search on the derivative of |S|^2 settles
+the rows of the constructions in at most three steps at the default
+R = 256 and in at most six at R = 4 or 5; a peak that lies on the grid
+ends it at the first step.
 A report measures each axis once per distinct row up to a constant:
 adding k to a sequence multiplies S(t) by the unit xi^k and leaves |S(t)|
 unchanged, and the constructions repeat rows heavily in this sense.  The
@@ -146,25 +150,34 @@ def _coarse_step(oversampling: int) -> int:
 def _grid_peaks(coeffs: np.ndarray, oversampling: int) -> tuple[np.ndarray, np.ndarray]:
     """Index and |S|^2 of the best of the R*L uniform samples of every row.
 
-    Only every step-th sample is taken by FFT, with step = R / 16 when that
-    divides R.  P = |S|^2 is a real trigonometric polynomial of degree below
-    L, so |P''| <= (2*pi*L)^2 max P, and at a local maximum t* the nearest
+    Only every step-th sample is taken, by a zero-padded inverse FFT on
+    blocks of rows that hold at most _BLOCK_POINTS coarse samples (one row
+    when a single row is longer), with step = R / 16 when that divides R.
+    P = |S|^2 is a real trigonometric polynomial of degree below L, so
+    |P''| <= (2*pi*L)^2 max P, and at a local maximum t* the nearest
     coarse sample t_j, at most step / (2RL) away, has
     P(t_j) >= P(t*) - h max P with h = (pi * step / R)^2 / 2.  The best fine
     sample lies within one fine step of such a t*, and P there is at least
     the best coarse sample P_c, while max P <= P_c / (1 - h).  So it lies
     within step // 2 + 1 fine samples of a coarse sample of at least
-    P_c * (1 - h / (1 - h)); those windows are evaluated directly, in
-    blocks of window columns and chunks of candidates that keep every
-    temporary within _BLOCK_POINTS entries whatever R is.
+    P_c * (1 - h / (1 - h)).  The windows around the candidates of all rows
+    are then evaluated in one pass, in blocks of window columns and chunks
+    of candidates that keep every temporary within _BLOCK_POINTS entries
+    whatever R is, so each window block is built once per call.  Only the
+    candidate list grows with the number of rows, by about three a row.
     """
-    L = coeffs.shape[1]
+    S, L = coeffs.shape
     step = _coarse_step(oversampling)
     coarse = oversampling // step * L
-    power = np.abs(np.fft.ifft(coeffs, n=coarse, axis=1, norm="forward")) ** 2
     h = (np.pi * step / oversampling) ** 2 / 2
-    floor = power.max(axis=1) * (1 - h / (1 - h) - 1e-9)
-    rows, cols = np.nonzero(power >= floor[:, None])
+    block = max(1, _BLOCK_POINTS // coarse)
+    found = []
+    for s in range(0, S, block):
+        power = np.abs(np.fft.ifft(coeffs[s : s + block], n=coarse, axis=1, norm="forward")) ** 2
+        floor = power.max(axis=1) * (1 - h / (1 - h) - 1e-9)
+        rows, cols = np.nonzero(power >= floor[:, None])
+        found.append((rows + s, cols))
+    rows, cols = (np.concatenate(v) for v in zip(*found))
     n = np.arange(L)
     half = step // 2 + 1
     width = 2 * half + 1
@@ -191,7 +204,7 @@ def _grid_peaks(coeffs: np.ndarray, oversampling: int) -> tuple[np.ndarray, np.n
             at[pairs] = np.where(better, cols[pairs] * step + start + values.argmax(axis=1), at[pairs])
     # rows is sorted, so this picks each row's best pair, the first on a tie.
     order = np.lexsort((-best, rows))
-    first = order[np.searchsorted(rows[order], np.arange(len(coeffs)))]
+    first = order[np.searchsorted(rows[order], np.arange(S))]
     return at[first] % (oversampling * L), best[first]
 
 
@@ -217,12 +230,10 @@ def _refined_peaks(coeffs: np.ndarray, peak: np.ndarray, num: int) -> np.ndarray
     lo = np.full(len(peak), -1 / num)
     hi = -lo
     u = np.zeros(len(peak))
-    power = np.empty(len(peak))
     last = before = hi - lo
     active = np.ones(len(peak), dtype=bool)
     while active.any():
         s, ds, d2s = _envelopes(terms, u).T
-        power = np.where(active, s.real ** 2 + s.imag ** 2, power)
         slope = 2 * (ds * s.conj()).real
         curve = 2 * (d2s * s.conj()).real + 2 * (ds.real ** 2 + ds.imag ** 2)
         lo = np.where(slope >= 0, u, lo)
@@ -235,34 +246,27 @@ def _refined_peaks(coeffs: np.ndarray, peak: np.ndarray, num: int) -> np.ndarray
         active &= (step >= _REFINE_TOL) & (hi - lo >= _REFINE_TOL)
         u = np.where(active, target, u)
         last, before = step, last
-    return power
+    # A stopped row kept its u, so the last evaluation holds every row's end point.
+    return s.real ** 2 + s.imag ** 2
 
 
 def _paprs(seqs: np.ndarray, q: int, oversampling: int) -> np.ndarray:
     """PAPR of every row of the (S, L) integer matrix seqs, as float64 (S,).
 
-    The best of oversampling * L uniform samples of |S(t)|^2 is found from a
-    zero-padded inverse FFT on a coarser subgrid (see _grid_peaks), on blocks
-    of rows that hold at most _BLOCK_POINTS coarse samples (one row when a
-    single row is longer), and is then refined.  The refinement works on
-    chunks of rows whose S, S' and S'' terms number at most _BLOCK_POINTS,
-    so memory stays flat in S and in R, and each of its steps takes L
-    exponentials per row.  The unit coefficients, the twists and the
-    candidate window are read from tables of at most _BLOCK_POINTS entries
-    each, cached per (q, L, R); a table above that size is evaluated per
-    call, so the results are the same bits either way.
+    The best of oversampling * L uniform samples of |S(t)|^2 is found for
+    every row by one call of _grid_peaks and then refined, on chunks of
+    rows whose S, S' and S'' terms number at most _BLOCK_POINTS; each
+    refinement step takes L exponentials per row.  The unit coefficients,
+    the twists and the candidate window are read from tables of at most
+    _BLOCK_POINTS entries each, cached per (q, L, R); a table above that
+    size is evaluated per call, so the results are the same bits either way.
     """
     S, L = seqs.shape
     if L == 1:
         return np.ones(S)
     coeffs = _roots(seqs % q, q)
     num = oversampling * L
-    peak = np.empty(S, dtype=np.int64)
-    best = np.empty(S)
-    block = max(1, _BLOCK_POINTS // (num // _coarse_step(oversampling)))
-    for s in range(0, S, block):
-        rows = slice(s, s + block)
-        peak[rows], best[rows] = _grid_peaks(coeffs[rows], oversampling)
+    peak, best = _grid_peaks(coeffs, oversampling)
     chunk = max(1, _BLOCK_POINTS // (3 * L))
     for s in range(0, S, chunk):
         rows = slice(s, s + chunk)

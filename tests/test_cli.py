@@ -283,6 +283,19 @@ def test_search_counts_and_dump(tmp_path, capsys):
     assert main(["search", "2", "2", "2", "--budget", "10"]) == 2
 
 
+def test_search_unwritable_out_prints_no_report(tmp_path, capsys):
+    # The pairs file is written before the report, so a path that cannot
+    # be written leaves stdout empty rather than holding a partial report.
+    out = tmp_path / "missing" / "pairs.jsonl"
+    assert main(["search", "2", "1", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line_error(captured.err) == f"error: [Errno 2] No such file or directory: '{out}'"
+    good = tmp_path / "pairs.jsonl"
+    assert main(["search", "2", "1", "2", "--out", str(good)]) == 0
+    assert capsys.readouterr().out == f"complementary pairs found: 8\nwrote {good}\n"
+
+
 def test_outputs_deterministic(tmp_path):
     spec = write_spec(tmp_path, "spec.json", GENERAL_DOC)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

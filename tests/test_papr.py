@@ -262,6 +262,42 @@ def test_grid_peaks_find_the_best_fine_sample(monkeypatch):
                 assert np.abs((coeffs * at_peak).sum(axis=1)) ** 2 == pytest.approx(best, rel=1e-12)
 
 
+def test_each_window_block_is_built_once_per_report(monkeypatch):
+    # The grid stage takes every row of a report in one call, so the
+    # candidate window, too large for the cache at R = 2^14 and L = 128,
+    # is built once per block of window columns and not once per block of
+    # rows, and the best samples are still the best of all R*L samples.
+    papr = golay2d.papr
+    R = 1 << 14
+    arr = QaryArray(4, np.random.default_rng(137).integers(0, 4, (128, 128)))
+    builds, seqs, found = [], [], []
+    window, paprs, grid_peaks = papr._window, papr._paprs, papr._grid_peaks
+
+    def counting_window(*args):
+        builds.append(args)
+        return window(*args)
+
+    def recording_paprs(rows, q, oversampling):
+        seqs.append(rows)
+        return paprs(rows, q, oversampling)
+
+    def recording_grid_peaks(coeffs, oversampling):
+        peak, best = grid_peaks(coeffs, oversampling)
+        found.append(best.copy())  # the refinement raises best in place
+        return peak, best
+
+    monkeypatch.setattr(papr, "_window", counting_window)
+    monkeypatch.setattr(papr, "_paprs", recording_paprs)
+    monkeypatch.setattr(papr, "_grid_peaks", recording_grid_peaks)
+    papr_report(arr, oversampling=R)
+    assert len(builds) == 5 and len(set(builds)) == 5
+    (rows,), (best,) = seqs, found
+    assert len(rows) == 256
+    # Every 16th row, one at a time: a row has 2^21 samples.
+    for k in range(0, len(rows), 16):
+        assert best[k] / 128 == pytest.approx(sampled_max(rows[k : k + 1], 4, R)[0], rel=1e-12)
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and (a.view(np.int64) == b.view(np.int64)).all()
 

@@ -15,6 +15,7 @@ from golay2d import (
     GeneralizedBooleanFunction,
     QaryArray,
     auto_correlation_table,
+    brute_force_gcaps,
     construct_gcap_basic,
     construct_gcap_general,
     construct_gcas,
@@ -22,9 +23,12 @@ from golay2d import (
     cross_correlation,
     cross_correlation_table,
     enumerate_general_gcaps,
+    gdj_pair,
     is_gcap,
     is_gcas,
     is_mate,
+    papr,
+    papr_report,
     verify,
 )
 from golay2d.constructions import gcas_function, general_gcap_function
@@ -210,6 +214,36 @@ def test_long_rows_stay_within_the_sampling_oracle(case):
 
 
 @st.composite
+def arrays_and_block_limits(draw):
+    """A Z_q array with sides 2 to 70, square or not, and block limits that
+    cut its rows into several coarse blocks but keep the default candidate
+    window (L x 19 entries at R = 256) in one block."""
+    q = draw(st.sampled_from((2, 4, 6, 8, 12)))
+    L1 = draw(st.integers(2, 70))
+    L2 = L1 if draw(st.booleans()) else draw(st.integers(2, 70))
+    entries = draw(arrays(np.int64, (L1, L2), elements=st.integers(0, q - 1)))
+    longest = max(L1, L2)
+    limits = draw(st.lists(st.integers(19 * longest, 64 * longest), min_size=1, max_size=3))
+    return QaryArray(q, entries), limits
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(arrays_and_block_limits())
+def test_papr_report_bits_do_not_depend_on_the_row_blocks(case):
+    # Cutting the rows into other coarse blocks regroups the grid stage's
+    # candidates, its candidate chunks and the refinement's chunks; every
+    # row still gets the same bits.  Limits below L x 19 split the window
+    # itself, which is not bit-stable and is not drawn here.
+    arr, limits = case
+    reference = papr_report(arr)
+    for limit in limits:
+        with mock.patch.object(papr, "_BLOCK_POINTS", limit):
+            report = papr_report(arr)
+        for got, want in ((report.per_row, reference.per_row), (report.per_col, reference.per_col)):
+            assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
+@st.composite
 def array_pairs_and_shifts(draw):
     """Two Z_q arrays of one shape and a few shifts.  The shape lies on either
     side of the direct-count threshold, so both count-tensor kernels are drawn."""
@@ -331,3 +365,32 @@ def test_violation_lists_on_random_arrays_agree_with_the_tensors(q):
         checks = (([(a, a), (b, b)], 2 * cells), ([(a, b), (c, d)], 0), ([(a, a)], cells), ([(c, c)], cells + 1))
         for pairs, expected in checks:
             assert _assert_lists_agree(pairs, expected).violations
+
+
+@pytest.mark.parametrize("q, length, m", [(2, 10, 4), (4, 3, 6), (4, 5, 5)])
+def test_spectral_pass_passes_outer_sums_at_non_power_of_two_shapes(q, length, m):
+    # The autocorrelation of the outer sum s[g] + t[i] is the product of
+    # those of s and t, so for a pair (a, b) and a pair (c, d) the four
+    # outer sums form a complementary set: a passing input of a shape that
+    # is not a power of two, above the direct-count size.
+    a, b = (x.entries[0] for x in brute_force_gcaps(q, 1, length)[0])
+    c, d = (x.entries[0] for x in gdj_pair(q, m, tuple(range(1, m + 1))))
+    members = [QaryArray(q, (s[:, None] + t[None, :]) % q) for s in (a, b) for t in (c, d)]
+    L1, L2 = length, 1 << m
+    assert (L1 * L2) ** 2 > _DIRECT_PAIRS
+    kept, _, truncated = _spectral_pass([([(x, x) for x in members], 4 * L1 * L2, 0)])[0]
+    assert not len(kept) and not truncated
+    result = is_gcas(members)
+    with _through_the_tensors():
+        reference = is_gcas(members)
+    assert result.passed and reference.passed
+    assert_same_result(result, reference)
+    entries = members[1].entries.copy()
+    entries[L1 // 2, L2 // 3] = (entries[L1 // 2, L2 // 3] + 1) % q
+    broken = [members[0], QaryArray(q, entries), *members[2:]]
+    for cap in (0, 1, verify.DEFAULT_MAX_VIOLATIONS, (2 * L1 - 1) * (2 * L2 - 1)):
+        result = is_gcas(broken, max_violations=cap)
+        with _through_the_tensors():
+            reference = is_gcas(broken, max_violations=cap)
+        assert not reference.passed
+        assert_same_result(result, reference)

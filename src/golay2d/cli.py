@@ -20,7 +20,7 @@ import sys
 
 from . import __version__
 from . import formats
-from .boolfunc import _at_least, require_even_q
+from .boolfunc import _at_least, _require_uniform, require_even_q
 # gdj_pair and gcs_1d are unused here but stay bound: bench/tracing.py wraps them by name.
 from .constructions import (
     DEFAULT_ENUM_BUDGET,
@@ -35,10 +35,11 @@ from .constructions import (
     gdj_pair,
 )
 from .correlation import auto_correlation_table, cross_correlation_table
-from .papr import DEFAULT_OVERSAMPLING, _check_oversampling, papr_report
+from .papr import DEFAULT_OVERSAMPLING, _check_oversampling, _require_spec_fits, papr_report
 from .verify import (
     DEFAULT_MAX_VIOLATIONS,
     DEFAULT_PAIR_BUDGET,
+    _require_one_row,
     brute_force_gcaps,
     is_gcap,
     is_gcas,
@@ -88,6 +89,22 @@ def _load_arrays(paths, q) -> list:
     return [formats.load_array(path, q=q) for path in paths]
 
 
+@contextlib.contextmanager
+def _naming(*paths):
+    """Name the files at fault after the text of a ValueError raised inside."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{exc} ({' vs '.join(map(str, paths))})") from None
+
+
+def _require_same(paths, arrays):
+    """Every array shares the first one's q and shape; a mismatch names both files."""
+    for path, arr in zip(paths[1:], arrays[1:]):
+        with _naming(paths[0], path):
+            _require_uniform([arrays[0], arr])
+
+
 def _emit(text: str, out_path=None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -128,13 +145,18 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     arrays = _load_arrays(args.files, args.q)
+    if args.kind == "gcap" and len(arrays) != 2:
+        raise ValueError("verify gcap needs exactly 2 array files")
+    if args.kind == "mate" and len(arrays) != 4:
+        raise ValueError("verify mate needs exactly 4 array files: c d cprime dprime")
+    if args.kind == "gcs":
+        for path, arr in zip(args.files, arrays):
+            with _naming(path):
+                _require_one_row(arr)
+    _require_same(args.files, arrays)
     if args.kind == "gcap":
-        if len(arrays) != 2:
-            raise ValueError("verify gcap needs exactly 2 array files")
         result = is_gcap(arrays[0], arrays[1], max_violations=args.max_violations)
     elif args.kind == "mate":
-        if len(arrays) != 4:
-            raise ValueError("verify mate needs exactly 4 array files: c d cprime dprime")
         result = is_mate((arrays[0], arrays[1]), (arrays[2], arrays[3]),
                          max_violations=args.max_violations)
     elif args.kind == "gcas":
@@ -149,7 +171,9 @@ def cmd_corr(args) -> int:
     if args.cross:
         if len(args.files) != 2:
             raise ValueError("corr --cross needs exactly 2 array files")
-        table = cross_correlation_table(*_load_arrays(args.files, args.q))
+        arrays = _load_arrays(args.files, args.q)
+        _require_same(args.files, arrays)
+        table = cross_correlation_table(*arrays)
     else:
         if len(args.files) != 1:
             raise ValueError("corr needs exactly 1 array file (or 2 with --cross)")
@@ -166,6 +190,8 @@ def cmd_papr(args) -> int:
     spec = None
     if args.spec:
         _, spec = _load_spec(args.spec, formats.parse_pair_spec)
+        with _naming(args.spec, args.file):
+            _require_spec_fits(arr, spec)
     oversampling = args.oversample if args.oversample is not None else _default_oversampling()
     report = papr_report(arr, spec=spec, oversampling=oversampling)
     if args.json:

@@ -8,14 +8,16 @@ local safeguarded Newton refinement down to 1e-10 in t, which pins the
 maximum far below the 1e-3 tolerances used by the numeric tests.
 
 One kernel measures a whole matrix of sequences.  The best of the R*L
-samples is found without taking all of them: a zero-padded inverse FFT
-samples a subgrid of 16 points per 1/L, and a curvature bound on |S|^2
-names the few windows of the full grid that can hold the best sample,
-which are then evaluated directly.  This grid stage takes every row of a
-call at once, so each block of the window is built once per call.  Every
-temporary stays within _BLOCK_POINTS = 2^15 entries; only the list of
-candidate windows grows with the number of rows, by about three a row
-(five to six at q = 2, whose envelopes come in mirror pairs of peaks).
+samples is found without taking all of them: a zero-padded FFT samples a
+subgrid of 16 points per 1/L, and a curvature bound on |S|^2 names the
+few windows of the full grid that can hold the best sample, which are
+then evaluated directly.  At q = 2 the coefficients are real, so
+|S(-t)| = |S(t)| and one rfft samples t in [0, 1/2] only: each mirror
+pair of peaks gives one set of windows, not two.  This grid stage takes
+every row of a call at once, so each block of the window is built once
+per call.  Every temporary stays within _BLOCK_POINTS = 2^15 entries;
+only the list of candidate windows grows with the number of rows, by
+about three a row at every q.
 The refinement runs in lockstep for all rows: each step evaluates S, S'
 and S'' of every row by their definition, as one block of exponentials
 and one product.  The Newton search on the derivative of |S|^2 settles
@@ -28,14 +30,16 @@ unchanged, and the constructions repeat rows heavily in this sense.  The
 rows and columns of a square array have one length, so they go through
 one kernel call; a row's result does not depend on the rows beside it.
 
-Every exponential of an integer angle is a table entry: the roots
-exp(2*pi*i*k/N) for N = q (the coefficients), N = the coarse grid size
-and N = R*L (the twists to a sample), the candidate window and the Newton
-weights.  Each table depends only on (q, L, R), holds the same expression
-the kernel would evaluate, bit for bit, and is built once into a small
-cache of read-only arrays when it has at most _BLOCK_POINTS entries; a
-larger one is computed per call, so no oversampling makes a large
-resident table.
+Every exponential of an integer angle is a table entry.  The unit
+coefficients xi^s come from the correlation kernel's table of the q-th
+roots, exact at every quarter turn and real (float64) exactly when q = 2;
+its dtype picks the transform of the grid stage.  The roots
+exp(2*pi*i*k/N) for N = the coarse grid size and N = R*L (the twists to
+a sample), the candidate window and the Newton weights each depend only
+on (L, R), hold the same expression the kernel would evaluate, bit for
+bit, and are built once into a small cache of read-only arrays when they
+have at most _BLOCK_POINTS entries; a larger one is computed per call,
+so no oversampling makes a large resident table.
 
 Analytic upper bounds for arrays built by the path constructions come from
 the positions the path spends on one axis: splitting those positions into v
@@ -54,6 +58,7 @@ import numpy as np
 
 from .boolfunc import _BLOCK_POINTS, QaryArray, _at_least, _int, _ints, require_even_q
 from .constructions import GcapBasicSpec, GcapGeneralSpec, basic_as_general_spec
+from .correlation import _embedding_roots
 
 __all__ = [
     "DEFAULT_OVERSAMPLING",
@@ -150,9 +155,17 @@ def _coarse_step(oversampling: int) -> int:
 def _grid_peaks(coeffs: np.ndarray, oversampling: int) -> tuple[np.ndarray, np.ndarray]:
     """Index and |S|^2 of the best of the R*L uniform samples of every row.
 
-    Only every step-th sample is taken, by a zero-padded inverse FFT on
-    blocks of rows that hold at most _BLOCK_POINTS coarse samples (one row
-    when a single row is longer), with step = R / 16 when that divides R.
+    Only every step-th sample is taken, by a zero-padded FFT on blocks of
+    rows that hold at most _BLOCK_POINTS coarse samples (one row when a
+    single row is longer), with step = R / 16 when that divides R.
+    Complex rows take the inverse FFT over the whole circle.  Real rows
+    take the rfft, whose coarse // 2 + 1 bins are |S| at t in [0, 1/2],
+    both ends included: with real coefficients S(-t) = conj S(t), so the
+    R*L samples are symmetric under j <-> RL - j, as are the coarse ones,
+    and every coarse sample equals one of these bins.  The best sample and
+    the curvature bound below carry over unchanged, and each mirror pair
+    of peaks gives one set of candidates, not two; the index found may be
+    the mirror of the first best sample, with the same |S|^2.
     P = |S|^2 is a real trigonometric polynomial of degree below L, so
     |P''| <= (2*pi*L)^2 max P, and at a local maximum t* the nearest
     coarse sample t_j, at most step / (2RL) away, has
@@ -171,9 +184,14 @@ def _grid_peaks(coeffs: np.ndarray, oversampling: int) -> tuple[np.ndarray, np.n
     coarse = oversampling // step * L
     h = (np.pi * step / oversampling) ** 2 / 2
     block = max(1, _BLOCK_POINTS // coarse)
+    # Real rows take the half circle t in [0, 1/2], where |S(-t)| = |S(t)|.
+    if np.isrealobj(coeffs):
+        sample = functools.partial(np.fft.rfft, n=coarse, axis=1)
+    else:
+        sample = functools.partial(np.fft.ifft, n=coarse, axis=1, norm="forward")
     found = []
     for s in range(0, S, block):
-        power = np.abs(np.fft.ifft(coeffs[s : s + block], n=coarse, axis=1, norm="forward")) ** 2
+        power = np.abs(sample(coeffs[s : s + block])) ** 2
         floor = power.max(axis=1) * (1 - h / (1 - h) - 1e-9)
         rows, cols = np.nonzero(power >= floor[:, None])
         found.append((rows + s, cols))
@@ -256,15 +274,16 @@ def _paprs(seqs: np.ndarray, q: int, oversampling: int) -> np.ndarray:
     The best of oversampling * L uniform samples of |S(t)|^2 is found for
     every row by one call of _grid_peaks and then refined, on chunks of
     rows whose S, S' and S'' terms number at most _BLOCK_POINTS; each
-    refinement step takes L exponentials per row.  The unit coefficients,
-    the twists and the candidate window are read from tables of at most
-    _BLOCK_POINTS entries each, cached per (q, L, R); a table above that
-    size is evaluated per call, so the results are the same bits either way.
+    refinement step takes L exponentials per row.  The unit coefficients
+    are the correlation kernel's exact roots of unity, real at q = 2.  The
+    twists and the candidate window are read from tables of at most
+    _BLOCK_POINTS entries each, cached per (L, R); a table above that size
+    is evaluated per call, so the results are the same bits either way.
     """
     S, L = seqs.shape
     if L == 1:
         return np.ones(S)
-    coeffs = _roots(seqs % q, q)
+    coeffs = _embedding_roots(q, 1)[seqs % q]
     num = oversampling * L
     peak, best = _grid_peaks(coeffs, oversampling)
     chunk = max(1, _BLOCK_POINTS // (3 * L))
@@ -342,6 +361,14 @@ class PaprReport:
         return max(self.per_col)
 
 
+def _require_spec_fits(c: QaryArray, spec):
+    """The pair-construction spec has the array's q and 2^n x 2^m shape."""
+    if spec.q != c.q:
+        raise ValueError(f"spec has q={spec.q} but array has q={c.q}")
+    if (1 << spec.n, 1 << spec.m) != (c.L1, c.L2):
+        raise ValueError(f"spec implies {1 << spec.n}x{1 << spec.m} but array is {c.L1}x{c.L2}")
+
+
 def papr_report(c: QaryArray, spec=None, oversampling: int = DEFAULT_OVERSAMPLING) -> PaprReport:
     """Measure every row and column PAPR of an array, with bounds from spec.
 
@@ -350,12 +377,7 @@ def papr_report(c: QaryArray, spec=None, oversampling: int = DEFAULT_OVERSAMPLIN
     """
     row_bound = col_bound = None
     if spec is not None:
-        if spec.q != c.q:
-            raise ValueError(f"spec has q={spec.q} but array has q={c.q}")
-        if (1 << spec.n, 1 << spec.m) != (c.L1, c.L2):
-            raise ValueError(
-                f"spec implies {1 << spec.n}x{1 << spec.m} but array is {c.L1}x{c.L2}"
-            )
+        _require_spec_fits(c, spec)
         row_bound, col_bound = papr_bounds(spec)
     oversampling = _check_oversampling(oversampling)
     if c.L1 == c.L2:

@@ -139,6 +139,13 @@ def is_gcap(c: QaryArray, d: QaryArray, max_violations: int = DEFAULT_MAX_VIOLAT
     return is_gcas([c, d], max_violations)
 
 
+def _require_one_row(s: QaryArray) -> QaryArray:
+    """s, once it is a single row."""
+    if s.L1 != 1:
+        raise ValueError(f"sequence input is {s.L1}x{s.L2}, expected one row")
+    return s
+
+
 def is_gcs(sequences, q: int | None = None, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> VerificationResult:
     """Check the 1-D complementary-set condition.
 
@@ -148,9 +155,7 @@ def is_gcs(sequences, q: int | None = None, max_violations: int = DEFAULT_MAX_VI
     normalized = []
     for s in sequences:
         if isinstance(s, QaryArray):
-            if s.L1 != 1:
-                raise ValueError(f"sequence input is {s.L1}x{s.L2}, expected one row")
-            normalized.append(s)
+            normalized.append(_require_one_row(s))
         else:
             if q is None:
                 raise ValueError("q is required for plain integer sequences")

@@ -473,6 +473,10 @@ def test_file_input_errors_exit_2(tmp_path, capsys):
     wide.write_text("# q=4\n0,1,2\n2,3,0\n")
     bool_q = write_spec(tmp_path, "bool_q.json", {"q": True, "n": 1, "m": 1, "pi": [1, 2]})
     gdj = write_spec(tmp_path, "gdj.json", {"q": 2, "m": 2, "pi": [1, 2]})
+    square = write_spec(tmp_path, "square.json", {"q": 4, "n": 1, "m": 1, "pi": [1, 2]})
+    row, short = tmp_path / "row.csv", tmp_path / "short.csv"
+    row.write_text("# q=4\n0,1,2\n")
+    short.write_text("# q=4\n3,1\n")
     missing_dir = tmp_path / "missing"
     decode_error = f"{malformed}: Expecting property name"
     # a bad --q is named before any file is read, with or without a q header
@@ -499,6 +503,20 @@ def test_file_input_errors_exit_2(tmp_path, capsys):
         (["corr", "--cross", str(good), str(binary)], "alphabet mismatch: q=4 vs q=2"),
         (["corr", "--cross", str(good), str(wide)], "shape mismatch: 2x2 vs 2x3"),
         (["verify", "gcs", str(good)], "sequence input is 2x2, expected one row"),
+        # a mismatch names the spec and array files, or the two files that disagree
+        (["papr", str(wide), "--spec", square],
+         f"spec implies 2x2 but array is 2x3 ({square} vs {wide})"),
+        (["papr", str(binary), "--spec", square],
+         f"spec has q=4 but array has q=2 ({square} vs {binary})"),
+        (["verify", "gcap", str(wide), str(good)], f"shape mismatch: 2x3 vs 2x2 ({wide} vs {good})"),
+        (["verify", "gcas", str(good), str(good), str(binary)],
+         f"alphabet mismatch: q=4 vs q=2 ({good} vs {binary})"),
+        (["verify", "mate", *[str(good)] * 3, str(wide)],
+         f"shape mismatch: 2x2 vs 2x3 ({good} vs {wide})"),
+        (["corr", "--cross", str(binary), str(good)],
+         f"alphabet mismatch: q=2 vs q=4 ({binary} vs {good})"),
+        (["verify", "gcs", str(row), str(good)], f"sequence input is 2x2, expected one row ({good})"),
+        (["verify", "gcs", str(row), str(short)], f"shape mismatch: 1x3 vs 1x2 ({row} vs {short})"),
         (["gen", "gdj", "--spec", gdj, "--out", str(missing_dir / "x")],
          f"[Errno 2] No such file or directory: '{missing_dir / 'x'}_a.csv'"),
         (["corr", str(good), "--out", str(missing_dir / "t.csv")],

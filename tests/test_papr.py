@@ -19,6 +19,7 @@ from golay2d import (
 )
 
 import golden
+from golay2d.correlation import _embedding_roots
 from helpers import random_basic_spec, random_general_spec, sampled_max
 
 
@@ -222,30 +223,82 @@ def test_report_rejects_low_oversampling_even_for_one_cell():
         papr_report(QaryArray(2, [[0]]), oversampling=2)
 
 
+def _coefficients(rows, q):
+    """The unit coefficients as _paprs takes them: real at q = 2, complex otherwise."""
+    return _embedding_roots(q, 1)[rows % q]
+
+
+def _recording_ffts(monkeypatch):
+    """Record the output size of every ifft and rfft call, by name."""
+    sizes = {"ifft": [], "rfft": []}
+    for name in sizes:
+        transform = getattr(np.fft, name)
+
+        def recording(*args, _transform=transform, _sizes=sizes[name], **kwargs):
+            out = _transform(*args, **kwargs)
+            _sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(golay2d.papr.np.fft, name, recording)
+    return sizes
+
+
 def test_spectra_stay_within_the_block_limit(monkeypatch):
+    # The complex ifft at q = 4 and the real rfft at q = 2, whose rows hold
+    # coarse / 2 + 1 bins.
     rng = np.random.default_rng(97)
-    arr = QaryArray(4, rng.integers(0, 4, (128, 128)))
-    sizes = []
-    ifft = np.fft.ifft
+    sizes = _recording_ffts(monkeypatch)
+    coarse = golay2d.papr._COARSE_OVERSAMPLING * 128
+    default = golay2d.papr._BLOCK_POINTS
+    for q, name, longest in ((4, "ifft", coarse), (2, "rfft", coarse // 2 + 1)):
+        arr = QaryArray(q, rng.integers(0, q, (128, 128)))
+        monkeypatch.setattr(golay2d.papr, "_BLOCK_POINTS", default)
+        sizes[name].clear()
+        report = papr_report(arr)
+        assert sizes[name] and max(sizes[name]) <= golay2d.papr._BLOCK_POINTS
+        monkeypatch.setattr(golay2d.papr, "_BLOCK_POINTS", 1)
+        sizes[name].clear()
+        assert papr_report(arr) == report
+        assert max(sizes[name]) == longest
 
-    def recording_ifft(*args, **kwargs):
-        out = ifft(*args, **kwargs)
-        sizes.append(out.size)
-        return out
 
-    monkeypatch.setattr(golay2d.papr.np.fft, "ifft", recording_ifft)
-    report = papr_report(arr)
-    assert sizes and max(sizes) <= golay2d.papr._BLOCK_POINTS
-    monkeypatch.setattr(golay2d.papr, "_BLOCK_POINTS", 1)
-    sizes.clear()
-    assert papr_report(arr) == report
-    assert max(sizes) == golay2d.papr._COARSE_OVERSAMPLING * 128
+def test_binary_reports_sample_half_the_circle(monkeypatch):
+    # Real coefficients (q = 2) take one rfft over t in [0, 1/2], so each
+    # mirror pair of peaks yields one set of candidate windows: about three
+    # a row, not the five to six that both halves of the circle give.
+    # Candidates are counted where their window twists are taken.
+    papr = golay2d.papr
+    sizes = _recording_ffts(monkeypatch)
+    candidates, seqs = [], []
+    roots, paprs = papr._roots, papr._paprs
+
+    def counting_roots(k, num):
+        if num == papr._COARSE_OVERSAMPLING * 128:
+            candidates.append(len(k))
+        return roots(k, num)
+
+    def recording_paprs(rows, q, oversampling):
+        seqs.append(len(rows))
+        return paprs(rows, q, oversampling)
+
+    monkeypatch.setattr(papr, "_roots", counting_roots)
+    monkeypatch.setattr(papr, "_paprs", recording_paprs)
+    papr_report(QaryArray(2, np.random.default_rng(137).integers(0, 2, (128, 128))))
+    assert seqs == [256] and sum(candidates) <= 3 * 256
+    assert sizes["rfft"] and not sizes["ifft"]
+    rng = np.random.default_rng(139)
+    for q in (4, 6, 8, 12):
+        for recorded in sizes.values():
+            recorded.clear()
+        papr_report(QaryArray(q, rng.integers(0, q, (16, 16))))
+        assert sizes["ifft"] and not sizes["rfft"]
 
 
 def test_grid_peaks_find_the_best_fine_sample(monkeypatch):
     # The coarse subgrid plus windows must find the largest of all R*L
     # samples, at the index it reports, also when the window is taken in
-    # blocks of two columns.
+    # blocks of two columns.  At q = 2 the index may be the mirror of the
+    # first best sample, whose |S|^2 is the same.
     block = golay2d.papr._BLOCK_POINTS
     rng = np.random.default_rng(101)
     for R in (4, 5, 16, 48, 256):
@@ -253,7 +306,7 @@ def test_grid_peaks_find_the_best_fine_sample(monkeypatch):
             L = int(rng.integers(2, 40))
             rows = np.vstack([rng.integers(0, q, (300, L)), np.zeros((1, L), int),
                               np.arange(L)[None, :] * (q // 2) % q])
-            coeffs = np.exp(2j * np.pi * rows / q)
+            coeffs = _coefficients(rows, q)
             for limit in (block, 2 * L):
                 monkeypatch.setattr(golay2d.papr, "_BLOCK_POINTS", limit)
                 peak, best = golay2d.papr._grid_peaks(coeffs, R)
@@ -402,7 +455,7 @@ def test_refinement_takes_few_rounds(monkeypatch):
     monkeypatch.setattr(golay2d.papr, "_envelopes", counting_envelopes)
 
     def refine(rows, q, R):
-        coeffs = np.exp(2j * np.pi * rows / q)
+        coeffs = _coefficients(rows, q)
         peak, _ = golay2d.papr._grid_peaks(coeffs, R)
         rounds.append(0)
         golay2d.papr._refined_peaks(coeffs, peak, R * rows.shape[1])

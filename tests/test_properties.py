@@ -244,6 +244,29 @@ def test_papr_report_bits_do_not_depend_on_the_row_blocks(case):
 
 
 @st.composite
+def binary_rows(draw):
+    """One to three binary rows of one length from 2 to 130, and an oversampling factor."""
+    L = draw(st.integers(2, 130))
+    count = draw(st.integers(1, 3))
+    rows = draw(arrays(np.int64, (count, L), elements=st.integers(0, 1)))
+    return rows, draw(st.sampled_from((4, 5, 16, 256)))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(binary_rows())
+def test_binary_rows_sample_half_the_circle_without_moving_the_peak(case):
+    # Real coefficients take the rfft over t in [0, 1/2]; the same rows as
+    # complex coefficients take the ifft over the whole circle.  The mirror
+    # peak the half grid may pick refines to the same value.
+    rows, R = case
+    grid_peaks = papr._grid_peaks
+    with mock.patch.object(papr, "_grid_peaks",
+                           lambda coeffs, oversampling: grid_peaks(coeffs.astype(complex), oversampling)):
+        whole = _paprs(rows, 2, R)
+    assert _paprs(rows, 2, R) == pytest.approx(whole, rel=1e-13)
+
+
+@st.composite
 def array_pairs_and_shifts(draw):
     """Two Z_q arrays of one shape and a few shifts.  The shape lies on either
     side of the direct-count threshold, so both count-tensor kernels are drawn."""

@@ -21,7 +21,6 @@ import sys
 from . import __version__
 from . import formats
 from .boolfunc import _at_least, _require_uniform, require_even_q
-# gdj_pair and gcs_1d are unused here but stay bound: bench/tracing.py wraps them by name.
 from .constructions import (
     DEFAULT_ENUM_BUDGET,
     _raw_spec_count,
@@ -80,13 +79,23 @@ def _load_spec(path, parse) -> tuple:
 
 
 def _load_arrays(paths, q) -> list:
-    """The arrays of the files; a bad --q is named once, before any file is read."""
+    """The arrays of the files; a bad --q is named once, before any file is read.
+
+    --q sets the alphabet of a headerless CSV; a file that carries its own q
+    must agree with it, or the file is named with both values.
+    """
     if q is not None:
         try:
             require_even_q(q)
         except ValueError as exc:
             raise ValueError(f"--q: {exc}") from exc
-    return [formats.load_array(path, q=q) for path in paths]
+    arrays = []
+    for path in paths:
+        arr = formats.load_array(path, q=q)
+        if q not in (None, arr.q):
+            raise ValueError(f"{path}: file has q={arr.q}, but --q is {q}")
+        arrays.append(arr)
+    return arrays
 
 
 @contextlib.contextmanager
@@ -105,6 +114,12 @@ def _require_same(paths, arrays):
             _require_uniform([arrays[0], arr])
 
 
+def _write_pair(fh, c, d, record=None):
+    """Write one JSON line: the fields of record, then the entries of c and d."""
+    fh.write(json.dumps({**(record or {}), "c": formats.array_to_json_dict(c)["entries"],
+                         "d": formats.array_to_json_dict(d)["entries"]}) + "\n")
+
+
 def _emit(text: str, out_path=None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -120,21 +135,16 @@ def cmd_gen(args) -> int:
         "gcap-general": (("c", "d"), construct_gcap_general),
         "mate": (("cprime", "dprime"), construct_mate),
         "gcas": (None, construct_gcas),
-        "gdj": (("a", "b"), construct_gcap_general),
-        "gcs1d": (None, construct_gcas),
+        "gdj": (("a", "b"), lambda s: gdj_pair(s.q, s.m, s.pi, s.p, s.p0)),
+        "gcs1d": (None, lambda s: gcs_1d(s.q, s.m, s.blocks, s.p, s.p0)),
     }[args.kind]
     spec_dict, arrays = _load_spec(
         args.spec, lambda doc: build(formats.parse_construction_spec(args.kind, doc)))
-    outputs = list(zip(names or map(str, range(len(arrays))), arrays))
-
-    ext = args.format
-    paths = []
-    for name, arr in outputs:
-        path = f"{args.out}_{name}.{ext}"
+    paths = [f"{args.out}_{name}.{args.format}" for name in names or map(str, range(len(arrays)))]
+    for arr, path in zip(arrays, paths):
         formats.save_array(arr, path, fmt=args.format)
-        paths.append(path)
-    first = outputs[0][1]
-    print(f"gen {args.kind}: q={first.q}, {len(outputs)} array(s) of size {first.L1}x{first.L2}")
+    first = arrays[0]
+    print(f"gen {args.kind}: q={first.q}, {len(arrays)} array(s) of size {first.L1}x{first.L2}")
     for path in paths:
         print(f"  wrote {path}")
     if args.cite:
@@ -144,40 +154,37 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # (file count, None for any; count message suffix; check), built per call like cmd_gen's.
+    count, suffix, check = {
+        "gcap": (2, "", lambda a, **kw: is_gcap(*a, **kw)),
+        "mate": (4, ": c d cprime dprime", lambda a, **kw: is_mate(a[:2], a[2:], **kw)),
+        "gcas": (None, "", is_gcas),
+        "gcs": (None, "", is_gcs),
+    }[args.kind]
     arrays = _load_arrays(args.files, args.q)
-    if args.kind == "gcap" and len(arrays) != 2:
-        raise ValueError("verify gcap needs exactly 2 array files")
-    if args.kind == "mate" and len(arrays) != 4:
-        raise ValueError("verify mate needs exactly 4 array files: c d cprime dprime")
+    if count not in (None, len(arrays)):
+        raise ValueError(f"verify {args.kind} needs exactly {count} array files{suffix}")
     if args.kind == "gcs":
         for path, arr in zip(args.files, arrays):
             with _naming(path):
                 _require_one_row(arr)
     _require_same(args.files, arrays)
-    if args.kind == "gcap":
-        result = is_gcap(arrays[0], arrays[1], max_violations=args.max_violations)
-    elif args.kind == "mate":
-        result = is_mate((arrays[0], arrays[1]), (arrays[2], arrays[3]),
-                         max_violations=args.max_violations)
-    elif args.kind == "gcas":
-        result = is_gcas(arrays, max_violations=args.max_violations)
-    else:
-        result = is_gcs(arrays, max_violations=args.max_violations)
+    result = check(arrays, max_violations=args.max_violations)
     print(json.dumps(formats.verification_to_json_dict(result)))
     return 0 if result.passed else 1
 
 
 def cmd_corr(args) -> int:
-    if args.cross:
-        if len(args.files) != 2:
-            raise ValueError("corr --cross needs exactly 2 array files")
-        arrays = _load_arrays(args.files, args.q)
-        _require_same(args.files, arrays)
-        table = cross_correlation_table(*arrays)
-    else:
-        if len(args.files) != 1:
-            raise ValueError("corr needs exactly 1 array file (or 2 with --cross)")
-        table = auto_correlation_table(*_load_arrays(args.files, args.q))
+    # Built per call, like cmd_gen's table.
+    count, usage, correlate = {
+        True: (2, "corr --cross needs exactly 2 array files", cross_correlation_table),
+        False: (1, "corr needs exactly 1 array file (or 2 with --cross)", auto_correlation_table),
+    }[args.cross]
+    if len(args.files) != count:
+        raise ValueError(usage)
+    arrays = _load_arrays(args.files, args.q)
+    _require_same(args.files, arrays)
+    table = correlate(*arrays)
     if args.format == "csv":
         _emit(formats.correlation_table_to_csv(table), args.out)
     else:
@@ -197,14 +204,12 @@ def cmd_papr(args) -> int:
     if args.json:
         print(json.dumps(formats.papr_report_to_json_dict(report)))
         return 0
-    bound = "-" if report.row_bound is None else f"{report.row_bound:g}"
-    print(f"rows (bound {bound}):")
-    for g, value in enumerate(report.per_row):
-        print(f"  row {g}: {value:.6f}")
-    bound = "-" if report.col_bound is None else f"{report.col_bound:g}"
-    print(f"columns (bound {bound}):")
-    for i, value in enumerate(report.per_col):
-        print(f"  col {i}: {value:.6f}")
+    for title, label, bound, values in (("rows", "row", report.row_bound, report.per_row),
+                                        ("columns", "col", report.col_bound, report.per_col)):
+        bound = "-" if bound is None else f"{bound:g}"
+        print(f"{title} (bound {bound}):")
+        for index, value in enumerate(values):
+            print(f"  {label} {index}: {value:.6f}")
     print(f"max row {report.max_row:.6f}, max col {report.max_col:.6f}, "
           f"oversampling {report.oversampling}")
     return 0
@@ -230,10 +235,7 @@ def cmd_enumerate(args) -> int:
             count += 1
             seen.add(c.entries.tobytes())
             if dump:
-                record = formats.spec_to_json_dict(spec)
-                record["c"] = formats.array_to_json_dict(c)["entries"]
-                record["d"] = formats.array_to_json_dict(d)["entries"]
-                dump.write(json.dumps(record) + "\n")
+                _write_pair(dump, c, d, formats.spec_to_json_dict(spec))
     print(f"formula: {formula}")
     print(f"raw specs: {count}")
     print(f"distinct arrays: {len(seen)}")
@@ -250,10 +252,7 @@ def cmd_search(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             for c, d in pairs:
-                fh.write(json.dumps({
-                    "c": formats.array_to_json_dict(c)["entries"],
-                    "d": formats.array_to_json_dict(d)["entries"],
-                }) + "\n")
+                _write_pair(fh, c, d)
     print(f"complementary pairs found: {len(pairs)}")
     if args.out:
         print(f"wrote {args.out}")
@@ -330,7 +329,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError, MemoryError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -468,6 +468,8 @@ def test_file_input_errors_exit_2(tmp_path, capsys):
     no_entries.write_text('{"q": 4, "entries": []}\n')
     bare = tmp_path / "bare.csv"
     bare.write_text("0,1\n1,0\n")
+    json_array = tmp_path / "array.json"
+    json_array.write_text('{"q": 4, "entries": [[0, 1], [2, 3]]}\n')
     binary, wide = tmp_path / "binary.csv", tmp_path / "wide.csv"
     binary.write_text("# q=2\n0,1\n1,0\n")
     wide.write_text("# q=4\n0,1,2\n2,3,0\n")
@@ -491,12 +493,20 @@ def test_file_input_errors_exit_2(tmp_path, capsys):
         (["papr", str(good), "--spec", str(malformed)], decode_error),
         (["verify", "gcap", str(good)], "verify gcap needs exactly 2 array files"),
         (["verify", "gcap", *[str(good)] * 3], "verify gcap needs exactly 2 array files"),
+        (["verify", "mate", *[str(good)] * 3],
+         "verify mate needs exactly 4 array files: c d cprime dprime"),
+        (["corr", "--cross", str(good)], "corr --cross needs exactly 2 array files"),
+        (["corr", str(good), str(good)], "corr needs exactly 1 array file (or 2 with --cross)"),
         (["verify", "gcap", str(bare), str(bare), "--q", "3"], bad_q + "3"),
         (["verify", "gcap", str(good), str(good), "--q", "0"], bad_q + "0"),
         (["corr", str(good), "--q", "3"], bad_q + "3"),
         (["corr", "--cross", str(bare), str(bare), "--q", "0"], bad_q + "0"),
         (["papr", str(bare), "--q", "0"], bad_q + "0"),
         (["papr", str(good), "--q", "3"], bad_q + "3"),
+        # a --q that differs from a file's own q names the file and both values
+        (["corr", str(good), "--q", "8"], f"{good}: file has q=4, but --q is 8"),
+        (["papr", str(json_array), "--q", "2"], f"{json_array}: file has q=4, but --q is 2"),
+        (["verify", "gcap", str(bare), str(good), "--q", "2"], f"{good}: file has q=4, but --q is 2"),
         (["papr", str(good), "--spec", bool_q], f"{bool_q}: q must be an integer, got True"),
         (["verify", "gcap", str(good), str(binary)], "alphabet mismatch: q=4 vs q=2"),
         (["verify", "gcap", str(good), str(wide)], "shape mismatch: 2x2 vs 2x3"),
@@ -526,6 +536,17 @@ def test_file_input_errors_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert _one_line_error(captured.err).startswith(f"error: {message}")
+
+
+def test_q_reads_headerless_csv_and_matching_headers(tmp_path, capsys):
+    bare, binary = tmp_path / "bare.csv", tmp_path / "binary.csv"
+    bare.write_text("0,1\n1,0\n")
+    binary.write_text("# q=2\n0,1\n1,0\n")
+    assert main(["corr", str(binary)]) == 0
+    expected = capsys.readouterr().out
+    for argv in (["corr", str(bare), "--q", "2"], ["corr", str(binary), "--q", "2"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_papr_low_oversample_and_odd_q_exit_2(tmp_path, capsys):
